@@ -206,7 +206,6 @@ def cmd_sweep_vl(cfg, args) -> BenchReport:
         with HeteroRuntime(model, ModelParams(tau=cfg.tau), desc,
                            cfg.geometry,
                            pools=PoolConfig(cfg.host_workers,
-                                            cfg.device_workers,
                                             cfg.device_throttle),
                            policy=cfg.policy) as rt:
             rt.load_state(random_state(model, lx, ly, cfg.seed))

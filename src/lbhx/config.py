@@ -12,7 +12,6 @@ from .model import ModelParams, builtin_model
 
 ENV_OVERRIDES = {
     "LBHX_HOST_WORKERS": "pool.host_workers",
-    "LBHX_DEVICE_WORKERS": "pool.device_workers",
     "LBHX_DEVICE_THROTTLE": "pool.device_throttle",
 }
 
@@ -28,7 +27,6 @@ DEFAULTS: dict[str, str] = {
     "hetero.m": "0",
     "hetero.autotune": "false",
     "pool.host_workers": "1",
-    "pool.device_workers": "1",
     "pool.device_throttle": "1",
     "run.iterations": "10",
     "run.dump_every": "0",
@@ -114,7 +112,6 @@ class RunConfig:
     m: int
     autotune_m: bool
     host_workers: int
-    device_workers: int
     device_throttle: float
     iterations: int
     dump_every: int
@@ -162,7 +159,6 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
         m=m,
         autotune_m=autotune_m,
         host_workers=_as_int(values, "pool.host_workers"),
-        device_workers=_as_int(values, "pool.device_workers"),
         device_throttle=_as_float(values, "pool.device_throttle"),
         iterations=iterations,
         dump_every=_as_int(values, "run.dump_every"),

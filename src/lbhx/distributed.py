@@ -137,7 +137,6 @@ class TcpTransport(Transport):
         super().__init__(rank)
         self.endpoints = endpoints
         self._socks: dict[int, socket.socket] = {}
-        self._lock = threading.Lock()
         host, port = self._parse(endpoints[rank])
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

@@ -18,7 +18,6 @@ configuration.
 """
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -72,12 +71,11 @@ def make_partition(geom: Geometry, m: int) -> PartitionPlan:
 @dataclass(frozen=True)
 class PoolConfig:
     host_workers: int = 1
-    device_workers: int = 1
     device_throttle: float = 1.0
 
     def __post_init__(self):
-        if self.host_workers < 1 or self.device_workers < 1:
-            raise ConfigurationError("worker counts must be >= 1")
+        if self.host_workers < 1:
+            raise ConfigurationError("host_workers must be >= 1")
         if self.device_throttle < 1.0:
             raise ConfigurationError("device_throttle must be >= 1")
 
@@ -115,7 +113,7 @@ class HeteroRuntime:
                  desc: LayoutDescriptor, geom: Geometry,
                  pools: PoolConfig | None = None,
                  policy: BoundaryPolicy | None = None,
-                 rank_exchange=None, flop_scale: int = 1,
+                 rank_exchange=None,
                  propagate_path: str = "fast",
                  watchdog_timeout: float = 120.0):
         if geom.halo < model.R:
@@ -125,7 +123,6 @@ class HeteroRuntime:
         self.params = params
         self.pools = pools or PoolConfig()
         self.policy = policy or BoundaryPolicy()
-        self.flop_scale = flop_scale
         self.propagate_path = propagate_path
         self.watchdog_timeout = watchdog_timeout
         self.host_buf = FieldBuffer(desc, geom, model.Q)
@@ -136,8 +133,6 @@ class HeteroRuntime:
             max_workers=1, thread_name_prefix="lbhx-device")
         self._host_pool = ThreadPoolExecutor(
             max_workers=self.pools.host_workers, thread_name_prefix="lbhx-host")
-        self._lock = threading.Lock()
-        self.halo_generation = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -163,7 +158,6 @@ class HeteroRuntime:
         self.device_buf.set_canonical(canonical, "prv")
         self.rank_exchange(self.host_buf)
         self._push_rank_halos_to_device()
-        self.halo_generation += 1
 
     def state(self, plan: PartitionPlan) -> np.ndarray:
         """Merged canonical state: borders from host, bulk from device."""
@@ -203,19 +197,19 @@ class HeteroRuntime:
         self.host_buf.copy_columns(h + m, h + m, h, "prv", src=self.device_buf)
         self.host_buf.copy_columns(lx - m, lx - m, h, "prv",
                                    src=self.device_buf)
-        self.halo_generation += 1
 
     # -- kernel execution ----------------------------------------------------
 
     def _run_kernels(self, buf: FieldBuffer, regions: list[Region],
-                     pool: ThreadPoolExecutor | None, workers: int) -> None:
-        """propagate, bc, collide over disjoint regions with kernel barriers."""
+                     pool: ThreadPoolExecutor | None) -> None:
+        """propagate, bc, collide over disjoint regions with kernel barriers;
+        tiles run serially unless a pool is given."""
         chunks: list[Region] = []
         for region in regions:
             chunks.extend(_tile_columns(region))
 
         def over_chunks(fn):
-            if pool is None or workers <= 1 or len(chunks) == 1:
+            if pool is None or len(chunks) == 1:
                 for ch in chunks:
                     fn(ch)
                 return
@@ -226,8 +220,7 @@ class HeteroRuntime:
         over_chunks(lambda ch: propagate_region(
             self.model, buf, ch, path=self.propagate_path))
         over_chunks(lambda ch: apply_bc(self.model, buf, self.policy, ch))
-        over_chunks(lambda ch: collide_region(
-            self.model, self.params, buf, ch, flop_scale=self.flop_scale))
+        over_chunks(lambda ch: collide_region(self.model, self.params, buf, ch))
 
     def _device_compute(self, plan: PartitionPlan) -> float:
         """Bulk kernels on the device buffer; returns the thread CPU time.
@@ -238,8 +231,7 @@ class HeteroRuntime:
         if plan.bulk is None:
             return 0.0
         t0 = time.thread_time()
-        self._run_kernels(self.device_buf, [plan.bulk], None,
-                          self.pools.device_workers)
+        self._run_kernels(self.device_buf, [plan.bulk], None)
         return time.thread_time() - t0
 
 
@@ -248,8 +240,8 @@ class HeteroRuntime:
         if not regions:
             return 0.0
         t0 = time.perf_counter()
-        self._run_kernels(self.host_buf, regions, self._host_pool,
-                          self.pools.host_workers)
+        pool = self._host_pool if self.pools.host_workers > 1 else None
+        self._run_kernels(self.host_buf, regions, pool)
         return time.perf_counter() - t0
 
     # -- the step ------------------------------------------------------------
@@ -345,7 +337,7 @@ class HeteroTuningRunner:
 
         def body() -> float:
             t0 = time.perf_counter()
-            rt._run_kernels(self._scratch, [region], None, 1)
+            rt._run_kernels(self._scratch, [region], None)
             return time.perf_counter() - t0
 
         if pool == "host":
@@ -356,7 +348,7 @@ class HeteroTuningRunner:
             # padding out would only add noise
             def cpu_body() -> float:
                 t0 = time.thread_time()
-                rt._run_kernels(self._scratch, [region], None, 1)
+                rt._run_kernels(self._scratch, [region], None)
                 return time.thread_time() - t0
             elapsed = rt._device_queue.submit(cpu_body).result()
             return elapsed * max(rt.pools.device_throttle, 1.0)
@@ -467,8 +459,7 @@ def runtime_from_config(cfg, rank_exchange=None) -> HeteroRuntime:
         params=ModelParams(tau=cfg.tau),
         desc=cfg.layout,
         geom=cfg.geometry,
-        pools=PoolConfig(cfg.host_workers, cfg.device_workers,
-                         cfg.device_throttle),
+        pools=PoolConfig(cfg.host_workers, cfg.device_throttle),
         policy=cfg.policy,
         rank_exchange=rank_exchange,
     )

@@ -5,6 +5,12 @@ site-local (collide) or gather-only (propagate), so any disjoint partition of
 a region produces bit-identical results.  Buffer roles are fixed: `prv` holds
 the state, `nxt` is scratch; a full step runs propagate(prv->nxt),
 apply_bc(nxt), collide(nxt->prv).
+
+The collide calls no BLAS routine.  Every reduction over populations is an
+elementwise accumulation in a fixed population order, so a site's result does
+not depend on the width or offset of the slice it is computed in, nor on BLAS
+blocking or thread count.  Bit-identity across layouts, border widths M and
+rank counts rests on this.
 """
 from __future__ import annotations
 
@@ -14,9 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .layouts import (FieldBuffer, Geometry, LayoutDescriptor, Stride,
-                      StrideKind, cluster_elem_stride, index_cube,
-                      neighbor_stride)
+from .layouts import (FieldBuffer, Geometry, LayoutDescriptor, StrideKind,
+                      cluster_elem_stride, index_cube, neighbor_stride)
 from .model import LatticeModel, ModelParams
 
 
@@ -185,26 +190,67 @@ def _propagate_fast(model: LatticeModel, buf: FieldBuffer, region: Region) -> No
             nxt[dst_rest] = prv[src_rest]
 
 
+def _density_momentum(model: LatticeModel, f: np.ndarray):
+    """rho, jx, jy of a (Q, ...) array, accumulated site by site in
+    population order; f_p is added or subtracted where |c| = 1."""
+    rho, jx, jy = (np.zeros(f.shape[1:]) for _ in range(3))
+    for p, c in enumerate(model.velocities):
+        rho += f[p]
+        for j, k in zip((jx, jy), c):
+            if k == 1:
+                j += f[p]
+            elif k == -1:
+                j -= f[p]
+            elif k:
+                j += k * f[p]
+    return rho, jx, jy
+
+
+def _relax(model: LatticeModel, f: np.ndarray, rho: np.ndarray,
+           jx: np.ndarray, jy: np.ndarray, omega: float) -> None:
+    """f <- (1 - omega) f + omega f_eq(rho, j), in place on a (Q, n) array.
+
+    With A = rho - |j|^2 / (2 cs2 rho) and t = c_p . j, the members of an
+    opposite pair (p, p') share the even part w (A + t^2 / (2 cs2^2 rho))
+    and take the odd part +-w t / cs2.  Shells run counterclockwise, so the
+    first half p..p+h-1 of a shell has its opposites q..q+h-1 in the same
+    order and is relaxed as one block; a rest population has q = p.
+    """
+    cs2 = model.cs2
+    inv_rho = 1.0 / rho
+    a = rho - (jx * jx + jy * jy) * inv_rho * (0.5 / cs2)
+    g = inv_rho * (0.5 / (cs2 * cs2))
+    f *= 1.0 - omega
+    p = 0
+    while p < model.Q:
+        q = model.opposite[p]
+        h, w = max(q - p, 1), model.weights[p] * omega
+        c = model.c[p:p + h, :, None]
+        t = c[:, 0] * jx + c[:, 1] * jy
+        even = (t * t * g + a) * w
+        t *= w / cs2
+        f[p:p + h] += even + t
+        if q != p:
+            f[q:q + h] += even - t
+        p = q + h
+
+
 def compute_moments(model: LatticeModel, f: np.ndarray) -> Macroscopics:
     """Density, velocity and temperature from a (Q,) or (Q, n) population set.
 
-    rho = sum(f); rho u = sum(c f); D rho T = sum(|c - u|^2 f).
+    rho = sum(f); rho u = sum(c f); D rho T = sum(|c - u|^2 f), each summed
+    in population order, site by site.
     """
     f = np.asarray(f, dtype=np.float64)
-    cx = model.cx.astype(np.float64)
-    cy = model.cy.astype(np.float64)
+    rho, jx, jy = _density_momentum(model, f)
+    ux, uy = jx / rho, jy / rho
+    energy = np.zeros(rho.shape)
+    for p, (cx, cy) in enumerate(model.velocities):
+        dx, dy = cx - ux, cy - uy
+        energy += (dx * dx + dy * dy) * f[p]
+    t = energy / (model.D * rho)
     if f.ndim == 1:
-        rho = float(f.sum())
-        ux = float(cx @ f) / rho
-        uy = float(cy @ f) / rho
-        t = float(((cx - ux) ** 2 + (cy - uy) ** 2) @ f) / (model.D * rho)
-        return Macroscopics(rho, ux, uy, t)
-    rho = f.sum(axis=0)
-    ux = (cx @ f) / rho
-    uy = (cy @ f) / rho
-    dx = cx[:, None] - ux[None, :]
-    dy = cy[:, None] - uy[None, :]
-    t = np.einsum("qn,qn->n", dx * dx + dy * dy, f) / (model.D * rho)
+        return Macroscopics(float(rho), float(ux), float(uy), float(t))
     return Macroscopics(rho, ux, uy, t)
 
 
@@ -212,43 +258,27 @@ def equilibrium(model: LatticeModel, m: Macroscopics) -> np.ndarray:
     """Order-2 equilibrium populations for macroscopic state m.
 
     f_eq_l = w_l rho (1 + cu/cs2 + cu^2/(2 cs2^2) - u^2/(2 cs2)),
-    with cu = c_l . u.
+    with cu = c_l . u; evaluated by the collide's own pair kernel.
     """
-    cs2 = model.cs2
-    cx = model.cx.astype(np.float64)
-    cy = model.cy.astype(np.float64)
-    w = model.w
-    ux, uy, rho = m.ux, m.uy, m.rho
-    if np.ndim(rho) == 0:
-        cu = cx * ux + cy * uy
-        usq = ux * ux + uy * uy
-        return w * rho * (1.0 + cu / cs2 + cu * cu / (2 * cs2 * cs2)
-                          - usq / (2 * cs2))
-    cu = cx[:, None] * ux[None, :] + cy[:, None] * uy[None, :]
-    usq = ux * ux + uy * uy
-    return w[:, None] * rho[None, :] * (
-        1.0 + cu / cs2 + cu * cu / (2 * cs2 * cs2) - usq[None, :] / (2 * cs2))
+    rho = np.asarray(m.rho, dtype=np.float64)
+    feq = np.zeros((model.Q,) + rho.shape)
+    _relax(model, feq.reshape(model.Q, -1), rho.reshape(-1),
+           (rho * m.ux).reshape(-1), (rho * m.uy).reshape(-1), 1.0)
+    return feq
 
 
 def collide_region(model: LatticeModel, params: ModelParams, buf: FieldBuffer,
-                   region: Region, src: str = "nxt", dst: str = "prv",
-                   flop_scale: int = 1) -> None:
-    """Site-local BGK relaxation: out = in - (dt/tau)(in - f_eq(moments(in))).
-
-    `flop_scale` > 1 re-evaluates the equilibrium (discarding the extras) to
-    emulate a heavier arithmetic load per site; results are unaffected.
-    """
+                   region: Region, src: str = "nxt", dst: str = "prv") -> None:
+    """Site-local BGK relaxation: out = (1 - omega) in + omega f_eq(in),
+    omega = dt/tau, computed from rho and j without forming u or T."""
     _check_region(buf, region)
     cube = index_cube(buf.desc, buf.geom, model.Q)
     idx = cube[:, region.x_begin:region.x_end, region.y_begin:region.y_end]
     idx = idx.reshape(model.Q, region.sites)
     f = buf.arena(src)[idx]
-    m = compute_moments(model, f)
-    feq = equilibrium(model, m)
-    for _ in range(flop_scale - 1):
-        _ = equilibrium(model, m)
-    omega = params.dt / params.tau
-    buf.arena(dst)[idx] = f - omega * (f - feq)
+    rho, jx, jy = _density_momentum(model, f)
+    _relax(model, f, rho, jx, jy, params.dt / params.tau)
+    buf.arena(dst)[idx] = f
 
 
 def apply_bc(model: LatticeModel, buf: FieldBuffer, policy: BoundaryPolicy,
@@ -287,11 +317,11 @@ def apply_bc(model: LatticeModel, buf: FieldBuffer, policy: BoundaryPolicy,
 
 def step_region(model: LatticeModel, params: ModelParams, buf: FieldBuffer,
                 region: Region, policy: BoundaryPolicy,
-                path: str = "reference", flop_scale: int = 1) -> None:
+                path: str = "reference") -> None:
     """One full update on a region: propagate, bc, collide; state ends in prv."""
     propagate_region(model, buf, region, path=path)
     apply_bc(model, buf, policy, region)
-    collide_region(model, params, buf, region, flop_scale=flop_scale)
+    collide_region(model, params, buf, region)
 
 
 def update_x_halos_periodic(buf: FieldBuffer, role: str = "prv") -> None:
@@ -305,11 +335,10 @@ def update_x_halos_periodic(buf: FieldBuffer, role: str = "prv") -> None:
 
 
 def run_steps(model: LatticeModel, params: ModelParams, buf: FieldBuffer,
-              steps: int, policy: BoundaryPolicy, path: str = "reference",
-              flop_scale: int = 1) -> None:
+              steps: int, policy: BoundaryPolicy,
+              path: str = "reference") -> None:
     """Convenience loop for single-region runs: halo refresh + full step."""
     region = interior_region(buf.geom)
     for _ in range(steps):
         update_x_halos_periodic(buf)
-        step_region(model, params, buf, region, policy,
-                    path=path, flop_scale=flop_scale)
+        step_region(model, params, buf, region, policy, path=path)

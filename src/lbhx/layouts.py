@@ -305,10 +305,14 @@ def load_dump(data: bytes) -> tuple[np.ndarray, dict]:
     count = nq * lx * ly
     if len(data) < 32 + count * 8:
         raise ConfigurationError("truncated LBHX dump")
+    try:
+        family, clustering = Family(family), Clustering(clustering)
+    except ValueError as exc:
+        raise ConfigurationError(f"corrupt LBHX dump: {exc}") from None
     body = np.frombuffer(data, dtype="<f8", offset=32, count=count)
     meta = {
         "lx": lx, "ly": ly, "nq": nq,
-        "family": Family(family), "vl": vl, "clustering": Clustering(clustering),
+        "family": family, "vl": vl, "clustering": clustering,
     }
     return body.reshape(nq, lx, ly).astype(np.float64), meta
 

@@ -133,6 +133,21 @@ def test_dump_then_load_roundtrip(tmp_path, capsys):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("offset, field", [(20, "Family"),
+                                           (28, "Clustering")])
+def test_load_corrupt_dump_is_config_error(tmp_path, capsys, offset, field):
+    path = tmp_path / "state.lbhx"
+    run_cli(capsys, "dump", "--out", str(path), "--lattice-lx", "8",
+            "--lattice-ly", "8", "--run-iterations", "0")
+    data = bytearray(path.read_bytes())
+    data[offset:offset + 4] = (7).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    code, _, err = run_cli(capsys, "load", str(path))
+    assert code == 1
+    assert err.strip().splitlines() == [
+        f"error: corrupt LBHX dump: 7 is not a valid {field}"]
+
+
 def test_config_file_and_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lattice.lx = 24\nlattice.ly = 32\nrun.iterations = 2\n")

@@ -1,8 +1,14 @@
 """Kernel tests: streaming as an exact permutation, moments/equilibrium
 identities, BGK conservation, boundary handling and cross-layout agreement."""
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import lbhx
 from lbhx.errors import ConfigurationError, ContractViolation
 from lbhx.kernels import (PERIODIC, WALL_BOUNCE_BACK, BoundaryPolicy,
                           Macroscopics, Region, apply_bc, collide_region,
@@ -12,6 +18,7 @@ from lbhx.kernels import (PERIODIC, WALL_BOUNCE_BACK, BoundaryPolicy,
 from lbhx.layouts import (Clustering, Family, FieldBuffer, Geometry,
                           LayoutDescriptor)
 from lbhx.model import ModelParams, builtin_model
+from lbhx.validate import ALL_DESCRIPTORS
 
 LAYOUTS = [
     LayoutDescriptor(Family.AOS),
@@ -81,6 +88,29 @@ def test_moments_and_equilibrium_identities():
     assert np.allclose(feq0, model.w * rho, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("name", ["d2q9", "d2q37"])
+def test_collide_matches_textbook_bgk(name):
+    """The pair kernel against the per-population closed form of the order-2
+    BGK update, to a tolerance set by float64 rounding."""
+    model = builtin_model(name)
+    params = ModelParams(tau=0.6)
+    geom = Geometry(8, 8, halo=3)
+    buf, state = _random_buf(model, LayoutDescriptor(Family.SOA), geom, 24)
+    buf.nxt[:] = buf.prv
+    collide_region(model, params, buf, interior_region(geom))
+    f = state.reshape(model.Q, -1)
+    cx, cy, w = model.cx[:, None], model.cy[:, None], model.w[:, None]
+    cs2 = model.cs2
+    rho = f.sum(0)
+    ux, uy = (cx * f).sum(0) / rho, (cy * f).sum(0) / rho
+    cu = cx * ux + cy * uy
+    feq = w * rho * (1 + cu / cs2 + cu * cu / (2 * cs2 * cs2)
+                     - (ux * ux + uy * uy) / (2 * cs2))
+    expected = f - (f - feq) / params.tau
+    got = buf.canonical("prv").reshape(model.Q, -1)
+    assert np.max(np.abs(got - expected)) < 1e-14 * np.max(np.abs(expected))
+
+
 def test_equilibrium_is_collide_fixed_point():
     model = builtin_model("d2q9")
     params = ModelParams(tau=0.8)
@@ -108,17 +138,58 @@ def test_collide_conserves_rho_and_momentum():
         assert np.max(np.abs(np.tensordot(c, post - state, 1))) < 1e-12
 
 
-def test_collide_flop_scale_does_not_change_results():
-    model = builtin_model("d2q9")
-    params = ModelParams(tau=0.8)
-    geom = Geometry(8, 8, halo=3)
-    a, _ = _random_buf(model, LayoutDescriptor(Family.SOA), geom, 9)
-    b, _ = _random_buf(model, LayoutDescriptor(Family.SOA), geom, 9)
-    for buf, scale in ((a, 1), (b, 4)):
-        buf.nxt[:] = buf.prv
-        collide_region(model, params, buf, interior_region(geom),
-                       flop_scale=scale)
-    assert np.array_equal(a.prv, b.prv)
+@pytest.mark.parametrize("name", ["d2q9", "d2q37"])
+def test_collide_in_strips_is_bit_identical_to_whole(name):
+    """Collide is elementwise in a fixed order, so strips of any width and
+    offset reproduce a whole-region collide bit for bit."""
+    model = builtin_model(name)
+    params = ModelParams(tau=0.7)
+    geom = Geometry(14, 8, halo=3)  # interior columns 3..16
+    strips = [Region(3, 4, 0, 8), Region(4, 7, 0, 8), Region(7, 16, 0, 3),
+              Region(7, 16, 3, 8), Region(16, 17, 0, 8)]
+    for desc in ALL_DESCRIPTORS:
+        whole, _ = _random_buf(model, desc, geom, seed=21)
+        split, _ = _random_buf(model, desc, geom, seed=21)
+        for buf in (whole, split):
+            buf.nxt[:] = buf.prv
+        collide_region(model, params, whole, interior_region(geom))
+        for region in strips:
+            collide_region(model, params, split, region)
+        assert np.array_equal(whole.prv, split.prv), desc
+
+
+@pytest.mark.parametrize("name", ["d2q9", "d2q37"])
+def test_moments_of_one_column_match_the_block(name):
+    model = builtin_model(name)
+    f = 0.1 + np.random.default_rng(22).random((model.Q, 65))
+    block = compute_moments(model, f)
+    for col in (0, 7, 64):
+        one = compute_moments(model, f[:, col:col + 1])
+        for field in ("rho", "ux", "uy", "T"):
+            assert np.array_equal(getattr(one, field),
+                                  getattr(block, field)[col:col + 1]), field
+
+
+def collide_digest() -> str:
+    """SHA-256 of a D2Q37 collide of a seeded 64x64 state."""
+    model = builtin_model("d2q37")
+    geom = Geometry(64, 64, halo=3)
+    buf, _ = _random_buf(model, LayoutDescriptor(Family.SOA), geom, seed=23)
+    buf.nxt[:] = buf.prv
+    collide_region(model, ModelParams(tau=0.6), buf, interior_region(geom))
+    return hashlib.sha256(buf.prv.tobytes()).hexdigest()
+
+
+def test_collide_does_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(lbhx.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]))
+    single = subprocess.run(
+        [sys.executable, "-c",
+         "from test_kernels import collide_digest; print(collide_digest())"],
+        env=env, capture_output=True, text=True, check=True,
+        timeout=120).stdout.strip()
+    assert single == collide_digest()
 
 
 def test_wall_bounce_back_conserves_mass_and_blocks_leak():
