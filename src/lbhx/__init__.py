@@ -14,7 +14,7 @@ from .kernels import (BoundaryPolicy, Macroscopics, Region, apply_bc,
                       propagate_region, step_region)
 from .layouts import (Clustering, Family, FieldBuffer, Geometry,
                       LayoutDescriptor, convert_layout, coords_of,
-                      linear_index, neighbor_stride)
+                      linear_index)
 from .model import LatticeModel, ModelParams, builtin_model, validate_moments
 from .perf_model import (PerfProfile, Prediction, autotune, mlups, optimal_m,
                          predict, whatif)
@@ -28,6 +28,6 @@ __all__ = [
     "PerfProfile", "Prediction", "Region", "RuntimeFault", "TuningError",
     "ValidationFailure", "apply_bc", "autotune", "builtin_model",
     "collide_region", "compute_moments", "convert_layout", "coords_of",
-    "equilibrium", "linear_index", "mlups", "neighbor_stride", "optimal_m",
+    "equilibrium", "linear_index", "mlups", "optimal_m",
     "predict", "propagate_region", "step_region", "validate_moments", "whatif",
 ]

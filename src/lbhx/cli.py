@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import statistics
 import sys
 import time
@@ -16,9 +17,8 @@ import numpy as np
 from .config import DEFAULTS, build_run_config, load_config
 from .errors import (CommunicationFault, ConfigurationError, LbhxError,
                      RuntimeFault, ValidationFailure)
-from .hetero import (HeteroRuntime, HeteroTuningRunner, PoolConfig,
-                     balance_experiment, make_partition, random_state,
-                     run_simulation, runtime_from_config)
+from .hetero import (HeteroTuningRunner, balance_experiment, make_partition,
+                     random_state, run_simulation, runtime_from_config)
 from .kernels import (collide_region, interior_region, propagate_region,
                       step_region, update_x_halos_periodic)
 from .layouts import (Family, FieldBuffer, LayoutDescriptor,
@@ -118,12 +118,11 @@ def cmd_bench_kernels(cfg, args) -> BenchReport:
         buf.set_canonical(random_state(model, cfg.lx, cfg.ly, cfg.seed))
         update_x_halos_periodic(buf)
         bodies = {
-            "propagate": lambda: propagate_region(model, buf, region,
-                                                  path="fast"),
+            "propagate": lambda: propagate_region(model, buf, region),
             "collide": lambda: collide_region(model, params, buf, region),
             "step": lambda: (update_x_halos_periodic(buf),
                              step_region(model, params, buf, region,
-                                         cfg.policy, path="fast")),
+                                         cfg.policy)),
         }
         for kernel in kernels:
             body = bodies[kernel]
@@ -202,13 +201,8 @@ def cmd_sweep_vl(cfg, args) -> BenchReport:
     lx, ly = cfg.lx, cfg.ly
     for vl in vls:
         desc = LayoutDescriptor(family, vl, cfg.layout.clustering)
-        model = builtin_model(cfg.model_name)
-        with HeteroRuntime(model, ModelParams(tau=cfg.tau), desc,
-                           cfg.geometry,
-                           pools=PoolConfig(cfg.host_workers,
-                                            cfg.device_throttle),
-                           policy=cfg.policy) as rt:
-            rt.load_state(random_state(model, lx, ly, cfg.seed))
+        with runtime_from_config(dataclasses.replace(cfg, layout=desc)) as rt:
+            rt.load_state(random_state(rt.model, lx, ly, cfg.seed))
             profile = autotune(HeteroTuningRunner(rt), warmup=2,
                                iters=args.rounds)
             m_best = optimal_m(profile, lx, ly)

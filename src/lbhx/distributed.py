@@ -29,6 +29,10 @@ _HEADER = struct.Struct("<IQ")
 TAG_TO_RIGHT = 1  # payload travels rank -> right neighbor
 TAG_TO_LEFT = 2   # payload travels rank -> left neighbor
 
+#: Seconds any one send or receive may block, on every transport, before it
+#: fails with a CommunicationFault.
+IO_TIMEOUT = 30.0
+
 
 @dataclass(frozen=True)
 class RankLayout:
@@ -114,13 +118,14 @@ class InMemoryTransport(Transport):
         self.fabric._queues[(self.rank, peer)].put((tag, payload))
         self.bytes_sent += len(payload)
 
-    def recv(self, peer: int, tag: int, timeout: float = 30.0) -> bytes:
+    def recv(self, peer: int, tag: int, timeout: float = IO_TIMEOUT) -> bytes:
         try:
             got_tag, payload = self.fabric._queues[(peer, self.rank)].get(
                 timeout=timeout)
         except queue.Empty:
             raise CommunicationFault(
-                f"rank {self.rank}: timeout waiting for rank {peer}") from None
+                f"rank {self.rank}: timeout waiting for rank {peer} "
+                f"(phase: halo recv of tag {tag})") from None
         if got_tag != tag:
             raise CommunicationFault(
                 f"rank {self.rank}: tag mismatch from rank {peer} "
@@ -149,12 +154,21 @@ class TcpTransport(Transport):
         for peer in lower:
             self._socks[peer] = self._dial(self.endpoints[peer],
                                            connect_timeout)
-        while accepted < len(higher):
-            conn, _addr = listener.accept()
-            peer = struct.unpack("<I", _recv_exact(conn, 4, self.rank, -1))[0]
-            self._socks[peer] = conn
-            accepted += 1
-        listener.close()
+        listener.settimeout(connect_timeout)
+        try:
+            while accepted < len(higher):
+                conn, _addr = listener.accept()
+                conn.settimeout(IO_TIMEOUT)
+                peer = struct.unpack(
+                    "<I", _recv_exact(conn, 4, self.rank, -1, "handshake"))[0]
+                self._socks[peer] = conn
+                accepted += 1
+        except TimeoutError:
+            raise CommunicationFault(
+                f"rank {self.rank}: {len(higher) - accepted} peer(s) did not "
+                f"dial within {connect_timeout}s (phase: rendezvous)") from None
+        finally:
+            listener.close()
 
     @staticmethod
     def _parse(endpoint: str) -> tuple[str, int]:
@@ -169,6 +183,7 @@ class TcpTransport(Transport):
         while True:
             try:
                 sock = socket.create_connection((host, port), timeout=2.0)
+                sock.settimeout(IO_TIMEOUT)
                 sock.sendall(struct.pack("<I", self.rank))
                 return sock
             except OSError:
@@ -178,18 +193,23 @@ class TcpTransport(Transport):
                 time.sleep(0.05)
 
     def send(self, peer: int, tag: int, payload: bytes) -> None:
-        sock = self._socks[peer]
-        sock.sendall(_HEADER.pack(tag, len(payload)) + payload)
+        try:
+            self._socks[peer].sendall(_HEADER.pack(tag, len(payload)) + payload)
+        except OSError as exc:
+            raise CommunicationFault(
+                f"rank {self.rank}: send of tag {tag} to rank {peer} failed "
+                f"(phase: halo send): {exc}") from None
         self.bytes_sent += len(payload)
 
     def recv(self, peer: int, tag: int) -> bytes:
         sock = self._socks[peer]
-        header = _recv_exact(sock, _HEADER.size, self.rank, peer)
+        phase = f"halo recv of tag {tag}"
+        header = _recv_exact(sock, _HEADER.size, self.rank, peer, phase)
         got_tag, length = _HEADER.unpack(header)
         if length > 1 << 32:
             raise CommunicationFault(
                 f"rank {self.rank}: corrupt frame length {length} from {peer}")
-        payload = _recv_exact(sock, length, self.rank, peer)
+        payload = _recv_exact(sock, length, self.rank, peer, phase)
         if got_tag != tag:
             raise CommunicationFault(
                 f"rank {self.rank}: tag mismatch from rank {peer} "
@@ -205,15 +225,22 @@ class TcpTransport(Transport):
                 pass
 
 
-def _recv_exact(sock: socket.socket, count: int, rank: int, peer: int) -> bytes:
+def _recv_exact(sock: socket.socket, count: int, rank: int, peer: int,
+                phase: str) -> bytes:
     chunks = []
     remaining = count
     while remaining:
-        chunk = sock.recv(remaining)
+        try:
+            chunk = sock.recv(remaining)
+        except OSError as exc:
+            raise CommunicationFault(
+                f"rank {rank}: receive from rank {peer} failed after "
+                f"{count - remaining}/{count} bytes (phase: {phase}): "
+                f"{exc}") from None
         if not chunk:
             raise CommunicationFault(
                 f"rank {rank}: short read from rank {peer} "
-                f"({count - remaining}/{count} bytes)")
+                f"({count - remaining}/{count} bytes, phase: {phase})")
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
@@ -222,8 +249,7 @@ def _recv_exact(sock: socket.socket, count: int, rank: int, peer: int) -> bytes:
 # -- halo exchange -----------------------------------------------------------
 
 def _pack_columns(buf: FieldBuffer, x0: int, width: int) -> bytes:
-    cube = buf.cube()
-    return buf.prv[cube[:, x0:x0 + width, :]].astype("<f8").tobytes()
+    return buf.columns(x0, width).astype("<f8", copy=False).tobytes()
 
 
 def _unpack_columns(buf: FieldBuffer, x0: int, width: int, payload: bytes) -> None:
@@ -231,10 +257,8 @@ def _unpack_columns(buf: FieldBuffer, x0: int, width: int, payload: bytes) -> No
     if len(payload) != expected:
         raise CommunicationFault(
             f"halo payload of {len(payload)} bytes, expected {expected}")
-    cube = buf.cube()
-    values = np.frombuffer(payload, dtype="<f8").reshape(
-        buf.nq, width, buf.geom.ly)
-    buf.prv[cube[:, x0:x0 + width, :]] = values
+    buf.set_columns(x0, np.frombuffer(payload, dtype="<f8").reshape(
+        buf.nq, width, buf.geom.ly))
 
 
 def exchange_rank_halos(buf: FieldBuffer, layout: RankLayout,

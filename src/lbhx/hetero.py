@@ -89,9 +89,10 @@ class TimestepTiming:
     t_exe: float = 0.0
 
 
-#: Kernel work is issued in fixed-width column tiles so the temporaries of one
+#: Collide is issued in fixed-width column tiles so the temporaries of one
 #: dispatch have a size-independent cache footprint; this keeps the measured
 #: per-site cost linear in region size, which the time model assumes.
+#: Propagate and bc make no temporaries and run once per region.
 TILE_COLUMNS = 32
 
 
@@ -114,7 +115,6 @@ class HeteroRuntime:
                  pools: PoolConfig | None = None,
                  policy: BoundaryPolicy | None = None,
                  rank_exchange=None,
-                 propagate_path: str = "fast",
                  watchdog_timeout: float = 120.0):
         if geom.halo < model.R:
             raise ConfigurationError(
@@ -123,7 +123,6 @@ class HeteroRuntime:
         self.params = params
         self.pools = pools or PoolConfig()
         self.policy = policy or BoundaryPolicy()
-        self.propagate_path = propagate_path
         self.watchdog_timeout = watchdog_timeout
         self.host_buf = FieldBuffer(desc, geom, model.Q)
         self.device_buf = FieldBuffer(desc, geom, model.Q)
@@ -202,13 +201,11 @@ class HeteroRuntime:
 
     def _run_kernels(self, buf: FieldBuffer, regions: list[Region],
                      pool: ThreadPoolExecutor | None) -> None:
-        """propagate, bc, collide over disjoint regions with kernel barriers;
-        tiles run serially unless a pool is given."""
-        chunks: list[Region] = []
-        for region in regions:
-            chunks.extend(_tile_columns(region))
+        """propagate and bc per region, then collide per column tile, with
+        kernel barriers; the pieces run serially unless a pool is given."""
+        tiles = [t for region in regions for t in _tile_columns(region)]
 
-        def over_chunks(fn):
+        def over(fn, chunks):
             if pool is None or len(chunks) == 1:
                 for ch in chunks:
                     fn(ch)
@@ -217,10 +214,9 @@ class HeteroRuntime:
             for fut in futures:
                 fut.result()
 
-        over_chunks(lambda ch: propagate_region(
-            self.model, buf, ch, path=self.propagate_path))
-        over_chunks(lambda ch: apply_bc(self.model, buf, self.policy, ch))
-        over_chunks(lambda ch: collide_region(self.model, self.params, buf, ch))
+        over(lambda r: propagate_region(self.model, buf, r), regions)
+        over(lambda r: apply_bc(self.model, buf, self.policy, r), regions)
+        over(lambda t: collide_region(self.model, self.params, buf, t), tiles)
 
     def _device_compute(self, plan: PartitionPlan) -> float:
         """Bulk kernels on the device buffer; returns the thread CPU time.

@@ -1,10 +1,11 @@
 """Per-timestep kernel pipeline: pull propagate, boundary fixup, BGK collide.
 
 All kernels operate on a rectangular Region of allocation coordinates and are
-site-local (collide) or gather-only (propagate), so any disjoint partition of
-a region produces bit-identical results.  Buffer roles are fixed: `prv` holds
-the state, `nxt` is scratch; a full step runs propagate(prv->nxt),
-apply_bc(nxt), collide(nxt->prv).
+site-local (collide, bc) or pure copies (propagate), so any disjoint
+partition of a region produces bit-identical results.  They run on the
+strided (Q, alloc_LX, A, B) views of FieldBuffer.view, with y = a * B + b.
+Buffer roles are fixed: `prv` holds the state, `nxt` is scratch; a full step
+runs propagate(prv->nxt), apply_bc(nxt), collide(nxt->prv).
 
 The collide calls no BLAS routine.  Every reduction over populations is an
 elementwise accumulation in a fixed population order, so a site's result does
@@ -15,13 +16,11 @@ rank counts rests on this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .layouts import (FieldBuffer, Geometry, LayoutDescriptor, StrideKind,
-                      cluster_elem_stride, index_cube, neighbor_stride)
+from .layouts import FieldBuffer, Geometry
 from .model import LatticeModel, ModelParams
 
 
@@ -88,106 +87,54 @@ def _check_region(buf: FieldBuffer, region: Region) -> None:
         raise ContractViolation(f"region rows {region} exceed [0, {g.ly})")
 
 
-@lru_cache(maxsize=256)
-def _propagate_tables(model: LatticeModel, desc: LayoutDescriptor,
-                      geom: Geometry, region: Region):
-    """Per-population (dst, src) flat index arrays for the pull gather.
-
-    Y sources wrap modulo LY; X sources land in the halo columns, which the
-    caller must keep current.
-    """
-    cube = index_cube(desc, geom, model.Q)
-    xs = np.arange(region.x_begin, region.x_end)
-    ys = np.arange(region.y_begin, region.y_end)
-    pairs = []
-    for p in range(model.Q):
-        cx, cy = model.velocities[p]
-        sx = xs - cx
-        sy = (ys - cy) % geom.ly
-        dst = cube[p][np.ix_(xs, ys)].ravel()
-        src = cube[p][np.ix_(sx, sy)].ravel()
-        pairs.append((dst, src))
-    return pairs
+def _row_blocks(region: Region, n_b: int) -> list[tuple[slice, slice]]:
+    """Rows [y_begin, y_end) as at most three (a, b) rectangles of
+    y = a * B + b with B = n_b: a head row, whole middle rows, a tail row."""
+    a0, b0 = divmod(region.y_begin, n_b)
+    a1, b1 = divmod(region.y_end, n_b)
+    if a0 == a1:
+        return [(slice(a0, a0 + 1), slice(b0, b1))]
+    blocks = []
+    if b0:
+        blocks.append((slice(a0, a0 + 1), slice(b0, n_b)))
+        a0 += 1
+    if a1 > a0:
+        blocks.append((slice(a0, a1), slice(0, n_b)))
+    if b1:
+        blocks.append((slice(a1, a1 + 1), slice(0, b1)))
+    return blocks
 
 
-def propagate_region(model: LatticeModel, buf: FieldBuffer, region: Region,
-                     path: str = "reference") -> None:
+def propagate_region(model: LatticeModel, buf: FieldBuffer,
+                     region: Region) -> None:
     """Pull-scheme streaming: nxt_l(x, y) = prv_l(x - cx, (y - cy) mod LY).
 
-    `path` selects 'reference' (coordinate-space gather), 'fast' (uniform
-    flat-stride copies where the layout admits them, reference elsewhere) or
-    'auto' (fast).  Both paths are bit-identical by construction.
+    With cy = qa * B + rb (0 <= rb < B), row (a, b) pulls from a-row a - qa
+    at b - rb where b >= rb, and from a-row a - qa - 1 at b - rb + B where
+    b < rb, a taken mod A: each population is at most four slice copies
+    per row block.  X sources land in the halo columns, which the caller
+    must keep current.
     """
     _check_region(buf, region)
     if region.x_begin - model.R < 0 or region.x_end + model.R > buf.geom.alloc_lx:
         raise ContractViolation("region too close to allocation edge for stencil")
-    if path in ("fast", "auto"):
-        _propagate_fast(model, buf, region)
-        return
-    if path != "reference":
-        raise ConfigurationError(f"unknown propagate path {path!r}")
-    prv, nxt = buf.prv, buf.nxt
-    for dst, src in _propagate_tables(model, buf.desc, buf.geom, region):
-        nxt[dst] = prv[src]
-
-
-@lru_cache(maxsize=256)
-def _fast_tables(model: LatticeModel, desc: LayoutDescriptor,
-                 geom: Geometry, region: Region):
-    """Plan the fast path: per population a flat stride plus the row set where
-    it is exact, and fallback (dst, src) gather tables for the rest."""
-    cube = index_cube(desc, geom, model.Q)
-    xs = np.arange(region.x_begin, region.x_end)
-    ys = np.arange(region.y_begin, region.y_end)
-    plans = []
-    for p in range(model.Q):
-        cx, cy = model.velocities[p]
-        stride = neighbor_stride(desc, geom, model.Q, -cx, -cy)
-        sy_raw = ys - cy
-        in_range = (sy_raw >= 0) & (sy_raw < geom.ly)
-        if stride.kind == StrideKind.UNIFORM:
-            flat = stride.value
-            valid = in_range
-        elif stride.kind == StrideKind.CLUSTER:
-            flat = stride.value * cluster_elem_stride(desc, model.Q)
-            # the cluster stride keeps k fixed; exact only where the partition
-            # index of the source row matches a pure iy shift
-            valid = in_range & _cluster_rows_valid(desc, geom, ys, cy)
-        else:
-            flat = 0
-            valid = np.zeros_like(in_range)
-        good = ys[valid]
-        rest = ys[~valid]
-        dst_fast = cube[p][np.ix_(xs, good)].ravel() if good.size else None
-        dst_rest = cube[p][np.ix_(xs, rest)].ravel() if rest.size else None
-        src_rest = None
-        if rest.size:
-            src_rest = cube[p][np.ix_(xs - cx, (rest - cy) % geom.ly)].ravel()
-        plans.append((flat, dst_fast, dst_rest, src_rest))
-    return plans
-
-
-def _cluster_rows_valid(desc: LayoutDescriptor, geom: Geometry,
-                        ys: np.ndarray, cy: int) -> np.ndarray:
-    from .layouts import Clustering, _split_y
-    k_dst, iy_dst = _split_y(desc, geom, ys)
-    k_src, iy_src = _split_y(desc, geom, ys - cy)
-    if desc.clustering == Clustering.INTERLEAVED:
-        return (k_src == k_dst) & (iy_src == iy_dst - cy)
-    lyovl = geom.lyovl(desc.vl)
-    if cy % desc.vl != 0:
-        return np.zeros(ys.shape, dtype=bool)
-    return (k_src == k_dst) & (iy_src == iy_dst - cy // desc.vl)
-
-
-def _propagate_fast(model: LatticeModel, buf: FieldBuffer, region: Region) -> None:
-    prv, nxt = buf.prv, buf.nxt
-    for flat, dst_fast, dst_rest, src_rest in _fast_tables(
-            model, buf.desc, buf.geom, region):
-        if dst_fast is not None:
-            nxt[dst_fast] = prv[dst_fast + flat]
-        if dst_rest is not None:
-            nxt[dst_rest] = prv[src_rest]
+    prv, nxt = buf.view("prv"), buf.view("nxt")
+    n_a, n_b = nxt.shape[2:]
+    x0, x1 = region.x_begin, region.x_end
+    for p, (cx, cy) in enumerate(model.velocities):
+        src, dst = prv[p, x0 - cx:x1 - cx], nxt[p, x0:x1]
+        qa, rb = divmod(cy, n_b)
+        for a_span, b_span in _row_blocks(region, n_b):
+            for da, db, b_lo, b_hi in (
+                    (qa, -rb, max(b_span.start, rb), b_span.stop),
+                    (qa + 1, n_b - rb, b_span.start, min(b_span.stop, rb))):
+                a = a_span.start
+                while a < a_span.stop and b_lo < b_hi:  # a wraps at most once
+                    sa = (a - da) % n_a
+                    n = min(a_span.stop - a, n_a - sa)
+                    dst[:, a:a + n, b_lo:b_hi] = \
+                        src[:, sa:sa + n, b_lo + db:b_hi + db]
+                    a += n
 
 
 def _density_momentum(model: LatticeModel, f: np.ndarray):
@@ -207,8 +154,10 @@ def _density_momentum(model: LatticeModel, f: np.ndarray):
 
 
 def _relax(model: LatticeModel, f: np.ndarray, rho: np.ndarray,
-           jx: np.ndarray, jy: np.ndarray, omega: float) -> None:
-    """f <- (1 - omega) f + omega f_eq(rho, j), in place on a (Q, n) array.
+           jx: np.ndarray, jy: np.ndarray, omega: float,
+           out: np.ndarray) -> None:
+    """out <- (1 - omega) f + omega f_eq(rho, j) on (Q, ...) arrays; out may
+    be f itself.
 
     With A = rho - |j|^2 / (2 cs2 rho) and t = c_p . j, the members of an
     opposite pair (p, p') share the even part w (A + t^2 / (2 cs2^2 rho))
@@ -220,18 +169,18 @@ def _relax(model: LatticeModel, f: np.ndarray, rho: np.ndarray,
     inv_rho = 1.0 / rho
     a = rho - (jx * jx + jy * jy) * inv_rho * (0.5 / cs2)
     g = inv_rho * (0.5 / (cs2 * cs2))
-    f *= 1.0 - omega
+    np.multiply(f, 1.0 - omega, out=out)
     p = 0
     while p < model.Q:
         q = model.opposite[p]
         h, w = max(q - p, 1), model.weights[p] * omega
-        c = model.c[p:p + h, :, None]
+        c = model.c[p:p + h].reshape((h, 2) + (1,) * rho.ndim)
         t = c[:, 0] * jx + c[:, 1] * jy
         even = (t * t * g + a) * w
         t *= w / cs2
-        f[p:p + h] += even + t
+        out[p:p + h] += even + t
         if q != p:
-            f[q:q + h] += even - t
+            out[q:q + h] += even - t
         p = q + h
 
 
@@ -262,23 +211,23 @@ def equilibrium(model: LatticeModel, m: Macroscopics) -> np.ndarray:
     """
     rho = np.asarray(m.rho, dtype=np.float64)
     feq = np.zeros((model.Q,) + rho.shape)
-    _relax(model, feq.reshape(model.Q, -1), rho.reshape(-1),
-           (rho * m.ux).reshape(-1), (rho * m.uy).reshape(-1), 1.0)
+    _relax(model, feq, rho, rho * m.ux, rho * m.uy, 1.0, out=feq)
     return feq
 
 
 def collide_region(model: LatticeModel, params: ModelParams, buf: FieldBuffer,
                    region: Region, src: str = "nxt", dst: str = "prv") -> None:
     """Site-local BGK relaxation: out = (1 - omega) in + omega f_eq(in),
-    omega = dt/tau, computed from rho and j without forming u or T."""
+    omega = 1/tau, computed from rho and j without forming u or T; reads the
+    src view and writes the dst view in place."""
     _check_region(buf, region)
-    cube = index_cube(buf.desc, buf.geom, model.Q)
-    idx = cube[:, region.x_begin:region.x_end, region.y_begin:region.y_end]
-    idx = idx.reshape(model.Q, region.sites)
-    f = buf.arena(src)[idx]
-    rho, jx, jy = _density_momentum(model, f)
-    _relax(model, f, rho, jx, jy, params.dt / params.tau)
-    buf.arena(dst)[idx] = f
+    fin, fout = buf.view(src), buf.view(dst)
+    xs = slice(region.x_begin, region.x_end)
+    for a_span, b_span in _row_blocks(region, fin.shape[3]):
+        f = fin[:, xs, a_span, b_span]
+        rho, jx, jy = _density_momentum(model, f)
+        _relax(model, f, rho, jx, jy, 1.0 / params.tau,
+               out=fout[:, xs, a_span, b_span])
 
 
 def apply_bc(model: LatticeModel, buf: FieldBuffer, policy: BoundaryPolicy,
@@ -296,30 +245,25 @@ def apply_bc(model: LatticeModel, buf: FieldBuffer, policy: BoundaryPolicy,
     if region is None:
         region = interior_region(buf.geom)
     _check_region(buf, region)
-    cube = index_cube(buf.desc, buf.geom, model.Q)
-    xs = np.arange(region.x_begin, region.x_end)
+    prv, nxt = buf.view("prv"), buf.view("nxt")
+    xs = slice(region.x_begin, region.x_end)
     ly = buf.geom.ly
-    for p in range(model.Q):
-        cy = model.velocities[p][1]
-        if cy == 0:
-            continue
-        opp = model.opposite[p]
+    for p, (_cx, cy) in enumerate(model.velocities):
         if cy > 0:
-            rows = np.arange(max(region.y_begin, 0), min(region.y_end, cy))
+            rows = range(max(region.y_begin, 0), min(region.y_end, cy))
+        elif cy < 0:
+            rows = range(max(region.y_begin, ly + cy), min(region.y_end, ly))
         else:
-            rows = np.arange(max(region.y_begin, ly + cy), min(region.y_end, ly))
-        if rows.size == 0:
             continue
-        dst = cube[p][np.ix_(xs, rows)]
-        src = cube[opp][np.ix_(xs, rows)]
-        buf.nxt[dst] = buf.prv[src]
+        for y in rows:
+            a, b = divmod(y, nxt.shape[3])
+            nxt[p, xs, a, b] = prv[model.opposite[p], xs, a, b]
 
 
 def step_region(model: LatticeModel, params: ModelParams, buf: FieldBuffer,
-                region: Region, policy: BoundaryPolicy,
-                path: str = "reference") -> None:
+                region: Region, policy: BoundaryPolicy) -> None:
     """One full update on a region: propagate, bc, collide; state ends in prv."""
-    propagate_region(model, buf, region, path=path)
+    propagate_region(model, buf, region)
     apply_bc(model, buf, policy, region)
     collide_region(model, params, buf, region)
 
@@ -335,10 +279,9 @@ def update_x_halos_periodic(buf: FieldBuffer, role: str = "prv") -> None:
 
 
 def run_steps(model: LatticeModel, params: ModelParams, buf: FieldBuffer,
-              steps: int, policy: BoundaryPolicy,
-              path: str = "reference") -> None:
+              steps: int, policy: BoundaryPolicy) -> None:
     """Convenience loop for single-region runs: halo refresh + full step."""
     region = interior_region(buf.geom)
     for _ in range(steps):
         update_x_halos_periodic(buf)
-        step_region(model, params, buf, region, policy, path=path)
+        step_region(model, params, buf, region, policy)

@@ -8,13 +8,17 @@ direction has no stored halo and is handled by coordinate wrap or wall rules.
 Clustered layouts split each Y-column into clusters of VL elements.  With the
 default `interleaved` clustering y = k * LYOVL + iy; with `consecutive`
 clustering y = iy * VL + k (k is the intra-cluster position).
+
+Every layout is also a strided numpy view of its arena, of shape
+(Q, alloc_LX, A, B) with y = a * B + b (see FieldBuffer.view); kernels and
+halo moves work on that view.  CSoA with consecutive clustering has the same
+memory map as SoA for every VL.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
 
 import numpy as np
 
@@ -163,66 +167,6 @@ def coords_of(desc: LayoutDescriptor, geom: Geometry, nq: int, offset: int):
     return p, x, y
 
 
-class StrideKind(IntEnum):
-    UNIFORM = 0
-    CLUSTER = 1
-    NONUNIFORM = 2
-
-
-@dataclass(frozen=True)
-class Stride:
-    kind: StrideKind
-    value: int = 0
-
-    @property
-    def uniform(self) -> bool:
-        return self.kind == StrideKind.UNIFORM
-
-
-def neighbor_stride(desc: LayoutDescriptor, geom: Geometry, nq: int,
-                    dx: int, dy: int) -> Stride:
-    """Stride of the (dx, dy) site displacement in storage offsets.
-
-    UNIFORM: offset(x+dx, y+dy) - offset(x, y) is the same for every site.
-    CLUSTER: constant stride in cluster units with unchanged intra-cluster
-    position k, valid only where the displaced partition index stays in
-    range (the cluster interior).  NONUNIFORM otherwise.
-    """
-    if dx == 0 and dy == 0:
-        return Stride(StrideKind.UNIFORM, 0)
-    ly = geom.ly
-    if desc.family == Family.AOS:
-        return Stride(StrideKind.UNIFORM, (dx * ly + dy) * nq)
-    if desc.family == Family.SOA:
-        return Stride(StrideKind.UNIFORM, dx * ly + dy)
-    lyovl = geom.lyovl(desc.vl)
-    if desc.clustering == Clustering.INTERLEAVED:
-        return Stride(StrideKind.CLUSTER, dx * lyovl + dy)
-    if dy % desc.vl != 0:
-        return Stride(StrideKind.NONUNIFORM)
-    return Stride(StrideKind.CLUSTER, dx * lyovl + dy // desc.vl)
-
-
-def cluster_elem_stride(desc: LayoutDescriptor, nq: int) -> int:
-    """Flat elements per unit of cluster stride."""
-    if desc.family == Family.CSOA:
-        return desc.vl
-    if desc.family == Family.CAOSOA:
-        return desc.vl * nq
-    raise ConfigurationError("cluster stride applies to clustered layouts only")
-
-
-@lru_cache(maxsize=64)
-def index_cube(desc: LayoutDescriptor, geom: Geometry, nq: int) -> np.ndarray:
-    """Full offset table, shape (Q, alloc_LX, LY); cached per layout/geometry."""
-    p = np.arange(nq).reshape(nq, 1, 1)
-    x = np.arange(geom.alloc_lx).reshape(1, geom.alloc_lx, 1)
-    y = np.arange(geom.ly).reshape(1, 1, geom.ly)
-    cube = linear_index(desc, geom, nq, p, x, y).astype(np.int64)
-    cube.setflags(write=False)
-    return cube
-
-
 class FieldBuffer:
     """Two flat float64 arenas (state `prv`, scratch `nxt`) plus layout info."""
 
@@ -246,22 +190,53 @@ class FieldBuffer:
             return self.nxt
         raise ConfigurationError(f"unknown arena role {role!r}")
 
-    def cube(self) -> np.ndarray:
-        return index_cube(self.desc, self.geom, self.nq)
+    def view(self, role: str = "prv") -> np.ndarray:
+        """The `role` arena as a strided (Q, alloc_LX, A, B) view, y = a*B + b.
+
+        SoA and CSoA-consecutive (one memory map): (Q, alx, 1, LY).  AoS: the
+        transpose of (alx, LY, Q).  CSoA-interleaved: (Q, alx, LYOVL, VL) with
+        the last two axes swapped, a = k.  CAoSoA: the transpose of
+        (alx, LYOVL, Q, VL), with a = k when interleaved and a = iy when
+        consecutive.
+        """
+        arena = self.arena(role)
+        d, nq = self.desc, self.nq
+        alx, ly = self.geom.alloc_lx, self.geom.ly
+        if d.family == Family.AOS:
+            return arena.reshape(alx, 1, ly, nq).transpose(3, 0, 1, 2)
+        consecutive = d.clustering == Clustering.CONSECUTIVE
+        if d.family == Family.SOA or d.family == Family.CSOA and consecutive:
+            return arena.reshape(nq, alx, 1, ly)
+        lyovl = self.geom.lyovl(d.vl)
+        if d.family == Family.CSOA:
+            return arena.reshape(nq, alx, lyovl, d.vl).swapaxes(2, 3)
+        cells = arena.reshape(alx, lyovl, nq, d.vl)  # (x, iy, p, k)
+        if consecutive:
+            return cells.transpose(2, 0, 1, 3)
+        return cells.transpose(2, 0, 3, 1)
+
+    def columns(self, x0: int, width: int, role: str = "prv") -> np.ndarray:
+        """A copy of `width` columns from x0 in canonical (Q, width, LY) order."""
+        cols = self.view(role)[:, x0:x0 + width]
+        out = np.empty((self.nq, width, self.geom.ly))
+        out.reshape(cols.shape)[...] = cols
+        return out
+
+    def set_columns(self, x0: int, values: np.ndarray,
+                    role: str = "prv") -> None:
+        """Store canonical (Q, width, LY) values in the columns from x0."""
+        cols = self.view(role)[:, x0:x0 + values.shape[1]]
+        cols[...] = values.reshape(cols.shape)
 
     def canonical(self, role: str = "prv") -> np.ndarray:
         """Interior values in canonical (p, x, y) order, shape (Q, LX, LY)."""
-        h = self.geom.halo
-        idx = self.cube()[:, h:h + self.geom.lx, :]
-        return self.arena(role)[idx].copy()
+        return self.columns(self.geom.halo, self.geom.lx, role)
 
     def set_canonical(self, values: np.ndarray, role: str = "prv") -> None:
-        h = self.geom.halo
         expected = (self.nq, self.geom.lx, self.geom.ly)
         if values.shape != expected:
             raise ConfigurationError(f"expected canonical shape {expected}")
-        idx = self.cube()[:, h:h + self.geom.lx, :]
-        self.arena(role)[idx] = values
+        self.set_columns(self.geom.halo, values, role)
 
     def copy_columns(self, src_x0: int, dst_x0: int, width: int,
                      role: str = "prv", src: "FieldBuffer | None" = None) -> None:
@@ -271,17 +246,15 @@ class FieldBuffer:
         layout for cross-buffer copies.
         """
         src = src or self
-        cube = self.cube()
-        src_idx = cube[:, src_x0:src_x0 + width, :]
-        dst_idx = cube[:, dst_x0:dst_x0 + width, :]
-        self.arena(role)[dst_idx] = src.arena(role)[src_idx]
+        self.view(role)[:, dst_x0:dst_x0 + width] = \
+            src.view(role)[:, src_x0:src_x0 + width]
 
 
 def convert_layout(src: FieldBuffer, dst_desc: LayoutDescriptor) -> FieldBuffer:
     """Re-store a field under another layout; values are copied bit-exactly."""
     dst = FieldBuffer(dst_desc, src.geom, src.nq)
     for role in ("prv", "nxt"):
-        dst.arena(role)[dst.cube()] = src.arena(role)[src.cube()]
+        dst.set_columns(0, src.columns(0, src.geom.alloc_lx, role), role)
     return dst
 
 

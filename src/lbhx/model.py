@@ -71,20 +71,14 @@ class LatticeModel:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """BGK relaxation parameters; dt is fixed to one lattice time unit."""
+    """BGK relaxation time, in lattice time units (dt = 1)."""
 
     tau: float
-    dt: float = 1.0
-    eq_order: int = 2
 
     def __post_init__(self):
-        if self.dt != 1.0:
-            raise ConfigurationError("dt is fixed to 1 lattice time unit")
-        if self.eq_order != 2:
-            raise ConfigurationError("only the order-2 equilibrium is supported")
-        if not self.tau > self.dt / 2:
+        if not self.tau > 0.5:
             raise ConfigurationError(
-                f"tau={self.tau} violates linear stability (requires tau > dt/2)"
+                f"tau={self.tau} violates linear stability (requires tau > 1/2)"
             )
 
 
@@ -195,7 +189,3 @@ def _isotropic_moment(axes: tuple[int, ...], cs2: float) -> float:
         d = lambda a, b: 1.0 if a == b else 0.0  # noqa: E731
         return cs2 * cs2 * (d(i, j) * d(k, l) + d(i, k) * d(j, l) + d(i, l) * d(j, k))
     raise AssertionError("unreachable for max_order <= 4")
-
-
-def is_valid_to_order(model: LatticeModel, order: int, tol: float = 1e-12) -> bool:
-    return all(r <= tol for r in validate_moments(model, order).values())

@@ -17,7 +17,7 @@ from .kernels import (PERIODIC, WALL_BOUNCE_BACK, BoundaryPolicy, Macroscopics,
                       interior_region, propagate_region, run_steps,
                       update_x_halos_periodic)
 from .layouts import (Clustering, Family, FieldBuffer, Geometry,
-                      LayoutDescriptor, convert_layout, coords_of, index_cube,
+                      LayoutDescriptor, convert_layout, coords_of,
                       linear_index)
 from .model import ModelParams, builtin_model, validate_moments
 
@@ -47,13 +47,19 @@ ALL_DESCRIPTORS = [
 ]
 
 
+def _offsets(desc: LayoutDescriptor, geom: Geometry, nq: int) -> np.ndarray:
+    """linear_index of every (p, x, y), shape (Q, alloc_LX, LY)."""
+    return linear_index(desc, geom, nq, np.arange(nq)[:, None, None],
+                        np.arange(geom.alloc_lx)[:, None], np.arange(geom.ly))
+
+
 def check_layout_bijections(lx: int = 12, ly: int = 16, nq: int = 37
                             ) -> CheckResult:
     """Exhaustive bijection scan of every layout on a small geometry."""
     geom = Geometry(lx, ly, halo=0)
     total = nq * lx * ly
     for desc in ALL_DESCRIPTORS:
-        offsets = index_cube(desc, geom, nq).ravel()
+        offsets = _offsets(desc, geom, nq).ravel()
         if sorted(offsets.tolist()) != list(range(total)):
             return CheckResult("layout-bijection", False, f"{desc} not bijective")
         for probe in (0, 1, total // 2, total - 1):
@@ -71,12 +77,12 @@ def check_cluster_alignment(ly: int = 16, nq: int = 37) -> CheckResult:
     for desc in ALL_DESCRIPTORS:
         if not desc.clustered:
             continue
-        cube = index_cube(desc, geom, nq)
-        base = cube.min(axis=None)
+        offsets = _offsets(desc, geom, nq)
+        base = offsets.min(axis=None)
         if base % desc.vl != 0:
             return CheckResult("cluster-alignment", False, str(desc))
         # every (p, x, cluster) group of VL offsets starts VL-aligned
-        offs = np.sort(cube.reshape(-1, 1), axis=0).ravel()
+        offs = np.sort(offsets.reshape(-1, 1), axis=0).ravel()
         starts = offs[::desc.vl]
         if np.any(starts % desc.vl):
             return CheckResult("cluster-alignment", False, str(desc))
@@ -145,8 +151,7 @@ def check_cross_layout(steps: int = 20, seed: int = 3) -> CheckResult:
                  LayoutDescriptor(Family.CAOSOA, 8)):
         buf = FieldBuffer(desc, geom, model.Q)
         buf.set_canonical(init)
-        run_steps(model, params, buf, steps, BoundaryPolicy(PERIODIC),
-                  path="fast")
+        run_steps(model, params, buf, steps, BoundaryPolicy(PERIODIC))
         finals.append(buf.canonical("prv"))
     worst = 0.0
     for other in finals[1:]:
@@ -193,7 +198,7 @@ def taylor_green_viscosity(lx: int = 64, ly: int = 64, tau: float = 0.8,
         return float(np.sqrt(np.mean(m.ux ** 2 + m.uy ** 2)))
 
     for t in range(1, steps + 1):
-        run_steps(model, params, buf, 1, policy, path="fast")
+        run_steps(model, params, buf, 1, policy)
         if t >= skip and t % sample_every == 0:
             times.append(t)
             amps.append(amplitude())

@@ -63,9 +63,8 @@ def test_exchange_moves_neighbor_edges():
     for th in threads:
         th.join()
     for i, buf in enumerate(bufs):
-        cube = buf.cube()
-        left_halo = buf.prv[cube[:, 0:3, :]]
-        right_halo = buf.prv[cube[:, 15:18, :]]
+        left_halo = buf.columns(0, 3)
+        right_halo = buf.columns(15, 3)
         left_neighbor = full[:, (np.arange(-3, 0) + layouts[i].x0) % 24, :]
         right_neighbor = full[:, (np.arange(3) + layouts[i].x0 + 12) % 24, :]
         assert np.array_equal(left_halo, left_neighbor)
@@ -131,3 +130,25 @@ def test_tcp_endpoint_count_checked():
     cfg = _cfg(**{"lattice.lx": 48, "lattice.ly": 16, "run.iterations": 1})
     with pytest.raises(ConfigurationError):
         run_distributed(cfg, 2, "tcp", endpoints=["127.0.0.1:1"])
+
+
+def test_tcp_io_deadline_names_rank_peer_and_phase(monkeypatch):
+    """Both ends of a link carry the same I/O deadline; a peer that never
+    sends makes recv fail with a CommunicationFault instead of hanging."""
+    import lbhx.distributed as D
+    monkeypatch.setattr(D, "IO_TIMEOUT", 0.2)
+    layouts = decompose_x(24, 2)
+    transports = D._tcp_rendezvous(layouts, D._local_endpoints(2))
+    try:
+        for t in transports:
+            assert t._socks[1 - t.rank].gettimeout() == 0.2
+        for t in transports:
+            with pytest.raises(CommunicationFault) as err:
+                t.recv(1 - t.rank, D.TAG_TO_RIGHT)
+            msg = str(err.value)
+            assert f"rank {t.rank}:" in msg
+            assert f"from rank {1 - t.rank}" in msg
+            assert "phase: halo recv of tag 1" in msg
+    finally:
+        for t in transports:
+            t.close()

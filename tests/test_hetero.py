@@ -26,7 +26,7 @@ def _cfg(**overrides):
 def _reference_final(model, params, init, steps, geom=GEOM, desc=DESC):
     buf = FieldBuffer(desc, geom, model.Q)
     buf.set_canonical(init)
-    run_steps(model, params, buf, steps, BoundaryPolicy(), path="fast")
+    run_steps(model, params, buf, steps, BoundaryPolicy())
     return buf.canonical("prv")
 
 

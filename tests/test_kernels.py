@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lbhx
-from lbhx.errors import ConfigurationError, ContractViolation
+from lbhx.errors import ContractViolation
 from lbhx.kernels import (PERIODIC, WALL_BOUNCE_BACK, BoundaryPolicy,
                           Macroscopics, Region, apply_bc, collide_region,
                           compute_moments, equilibrium, interior_region,
@@ -38,31 +38,40 @@ def _random_buf(model, desc, geom, seed=0):
     return buf, state
 
 
+def _propagated(model, desc, geom, regions, seed=42):
+    buf, state = _random_buf(model, desc, geom, seed)
+    update_x_halos_periodic(buf)
+    for region in regions:
+        propagate_region(model, buf, region)
+    return buf, state
+
+
+@pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=str)
 @pytest.mark.parametrize("name", ["d2q9", "d2q37"])
-@pytest.mark.parametrize("path", ["reference", "fast"])
-def test_propagate_is_exact_periodic_shift(name, path):
+@pytest.mark.parametrize("ly", [8, 12])
+def test_propagate_is_exact_periodic_shift(desc, name, ly):
+    """Against the np.roll oracle; at LY=8 a VL=4 interleaved row block is
+    B=2 rows, shorter than the D2Q37 reach R=3."""
     model = builtin_model(name)
-    geom = Geometry(10, 12, halo=3)
-    for desc in LAYOUTS:
-        buf, state = _random_buf(model, desc, geom, seed=42)
-        update_x_halos_periodic(buf)
-        propagate_region(model, buf, interior_region(geom), path=path)
-        out = buf.canonical("nxt")
-        for p, (cx, cy) in enumerate(model.velocities):
-            expected = np.roll(np.roll(state[p], cx, axis=0), cy, axis=1)
-            assert np.array_equal(out[p], expected), (desc, p)
+    geom = Geometry(10, ly, halo=3)
+    buf, state = _propagated(model, desc, geom, [interior_region(geom)])
+    out = buf.canonical("nxt")
+    for p, (cx, cy) in enumerate(model.velocities):
+        expected = np.roll(np.roll(state[p], cx, axis=0), cy, axis=1)
+        assert np.array_equal(out[p], expected), p
 
 
-def test_fast_path_bit_identical_to_reference():
+@pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=str)
+def test_propagate_in_strips_is_bit_identical_to_whole(desc):
+    """Row ranges that start and end inside a row block split into head,
+    middle and tail rectangles; together they equal one whole-region pass."""
     model = builtin_model("d2q37")
-    geom = Geometry(12, 16, halo=3)
-    for desc in LAYOUTS:
-        ref, _ = _random_buf(model, desc, geom, seed=5)
-        fast, _ = _random_buf(model, desc, geom, seed=5)
-        for buf, path in ((ref, "reference"), (fast, "fast")):
-            update_x_halos_periodic(buf)
-            propagate_region(model, buf, interior_region(geom), path=path)
-        assert np.array_equal(ref.nxt, fast.nxt), desc
+    geom = Geometry(10, 16, halo=3)
+    strips = [Region(3, 13, 0, 3), Region(3, 8, 3, 13), Region(8, 13, 3, 13),
+              Region(3, 13, 13, 16)]
+    whole, _ = _propagated(model, desc, geom, [interior_region(geom)])
+    split, _ = _propagated(model, desc, geom, strips)
+    assert np.array_equal(whole.nxt, split.nxt)
 
 
 def test_propagate_region_guards():
@@ -71,8 +80,6 @@ def test_propagate_region_guards():
     buf = FieldBuffer(LayoutDescriptor(Family.SOA), geom, model.Q)
     with pytest.raises(ContractViolation):
         propagate_region(model, buf, Region(0, 8, 0, 8))  # touches halo edge
-    with pytest.raises(ConfigurationError):
-        propagate_region(model, buf, interior_region(geom), path="mystery")
 
 
 def test_moments_and_equilibrium_identities():
@@ -209,6 +216,27 @@ def test_wall_bounce_back_conserves_mass_and_blocks_leak():
         assert not np.array_equal(out[p][:, :cy], periodic[:, :cy])
 
 
+@pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=str)
+@pytest.mark.parametrize("ly", [8, 12])
+def test_wall_bounce_back_is_layout_independent(desc, ly):
+    """Wall bounce-back, whole and in row strips, matches SoA bit for bit."""
+    model = builtin_model("d2q37")
+    geom = Geometry(6, ly, halo=3)
+    policy = BoundaryPolicy(WALL_BOUNCE_BACK)
+    strips = [Region(3, 9, 0, 1), Region(3, 9, 1, ly - 2),
+              Region(3, 9, ly - 2, ly)]
+    ref, _ = _propagated(model, LayoutDescriptor(Family.SOA), geom,
+                         [interior_region(geom)], seed=14)
+    apply_bc(model, ref, policy)
+    expected = ref.canonical("nxt")
+    for regions in ([interior_region(geom)], strips):
+        buf, _ = _propagated(model, desc, geom, [interior_region(geom)],
+                             seed=14)
+        for region in regions:
+            apply_bc(model, buf, policy, region)
+        assert np.array_equal(buf.canonical("nxt"), expected)
+
+
 def test_periodic_bc_is_noop():
     model = builtin_model("d2q9")
     geom = Geometry(8, 8, halo=3)
@@ -231,7 +259,7 @@ def test_cross_layout_agreement(policy):
     for desc in LAYOUTS:
         buf = FieldBuffer(desc, geom, model.Q)
         buf.set_canonical(init)
-        run_steps(model, params, buf, 10, BoundaryPolicy(policy), path="fast")
+        run_steps(model, params, buf, 10, BoundaryPolicy(policy))
         finals.append(buf.canonical("prv"))
     for other in finals[1:]:
         rel = np.max(np.abs(other - finals[0]) / np.abs(finals[0]))

@@ -1,5 +1,5 @@
-"""Memory-layout indexing tests: closed-form offsets, bijectivity, strides,
-layout conversion and the binary dump format.
+"""Memory-layout indexing tests: closed-form offsets, bijectivity, strided
+views, layout conversion and the binary dump format.
 
 The closed-form offsets asserted in test_reference_offsets were computed by
 hand from the layout definitions and are frozen here as literals.
@@ -9,10 +9,9 @@ import pytest
 
 from lbhx.errors import ConfigurationError, ContractViolation
 from lbhx.layouts import (Clustering, Family, FieldBuffer, Geometry,
-                          LayoutDescriptor, StrideKind, cluster_elem_stride,
-                          convert_layout, coords_of, dump_bytes,
-                          family_from_name, index_cube, linear_index,
-                          load_dump, neighbor_stride, read_dump, write_dump)
+                          LayoutDescriptor, convert_layout, coords_of,
+                          dump_bytes, family_from_name, linear_index,
+                          load_dump, read_dump, write_dump)
 
 GEOM = Geometry(6, 8, halo=0)  # alloc_lx == lx when halo == 0
 NQ = 5
@@ -51,12 +50,17 @@ def test_reference_offsets():
         == ((x * 2 + 1) * NQ + p) * 4 + 2                      # 150
 
 
+def _offsets(desc, geom, nq):
+    """linear_index of every (p, x, y), shape (Q, alloc_LX, LY)."""
+    return linear_index(desc, geom, nq, np.arange(nq)[:, None, None],
+                        np.arange(geom.alloc_lx)[:, None], np.arange(geom.ly))
+
+
 @pytest.mark.parametrize("desc", ALL, ids=str)
 def test_bijection_and_inverse(desc):
     total = NQ * GEOM.alloc_lx * GEOM.ly
-    cube = index_cube(desc, GEOM, NQ)
-    assert cube.shape == (NQ, GEOM.alloc_lx, GEOM.ly)
-    assert np.array_equal(np.sort(cube.ravel()), np.arange(total))
+    offsets = _offsets(desc, GEOM, NQ)
+    assert np.array_equal(np.sort(offsets.ravel()), np.arange(total))
     for offset in range(total):
         p, x, y = coords_of(desc, GEOM, NQ, offset)
         assert linear_index(desc, GEOM, NQ, p, x, y) == offset
@@ -70,46 +74,34 @@ def test_coords_of_range_check():
 
 
 @pytest.mark.parametrize("desc", ALL, ids=str)
-@pytest.mark.parametrize("dx,dy", [(1, 0), (0, 1), (-1, -1), (2, 3)])
-def test_neighbor_stride_agrees_with_offsets(desc, dx, dy):
-    stride = neighbor_stride(desc, GEOM, NQ, dx, dy)
-    cube = index_cube(desc, GEOM, NQ)
-    if stride.kind == StrideKind.UNIFORM:
-        for p in range(NQ):
-            for x in range(GEOM.alloc_lx):
-                for y in range(GEOM.ly):
-                    nx, ny = x + dx, y + dy
-                    if not (0 <= nx < GEOM.alloc_lx and 0 <= ny < GEOM.ly):
-                        continue
-                    assert cube[p, nx, ny] - cube[p, x, y] == stride.value
-    elif stride.kind == StrideKind.CLUSTER:
-        # constant stride in cluster units while k is unchanged
-        elem = cluster_elem_stride(desc, NQ)
-        vl = desc.vl
-        lyovl = GEOM.ly // vl
-        for p in range(NQ):
-            for x in range(GEOM.alloc_lx - abs(dx)):
-                for y in range(GEOM.ly):
-                    if desc.clustering == Clustering.INTERLEAVED:
-                        k, iy = y // lyovl, y % lyovl
-                        ny = y + dy
-                        nk, niy = (ny // lyovl, ny % lyovl) \
-                            if 0 <= ny < GEOM.ly else (None, None)
-                    else:
-                        k, iy = y % vl, y // vl
-                        ny = y + dy
-                        nk, niy = (ny % vl, ny // vl) \
-                            if 0 <= ny < GEOM.ly else (None, None)
-                    if nk != k or x + dx < 0 or x + dx >= GEOM.alloc_lx:
-                        continue  # displacement leaves the k-partition
-                    got = (cube[p, x + dx, ny] - cube[p, x, y])
-                    assert got == stride.value * elem
+@pytest.mark.parametrize("ly", [8, 16])
+def test_view_agrees_with_linear_index(desc, ly):
+    """view(role)[p, x, a, b] is the arena element at linear_index(p, x, y)
+    with y = a * B + b, and the view is a view, not a copy."""
+    geom = Geometry(5, ly, halo=2)
+    buf = FieldBuffer(desc, geom, NQ)
+    buf.nxt[:] = np.arange(buf.size)
+    view = buf.view("nxt")
+    n_a, n_b = view.shape[2:]
+    assert view.shape == (NQ, geom.alloc_lx, n_a, n_b)
+    assert n_a * n_b == ly and np.shares_memory(view, buf.nxt)
+    expected = _offsets(desc, geom, NQ).reshape(view.shape)
+    assert np.array_equal(view, expected)
 
 
-def test_consecutive_y1_is_nonuniform():
-    desc = LayoutDescriptor(Family.CSOA, 4, Clustering.CONSECUTIVE)
-    assert neighbor_stride(desc, GEOM, NQ, 0, 1).kind == StrideKind.NONUNIFORM
-    assert neighbor_stride(desc, GEOM, NQ, 0, 4).kind == StrideKind.CLUSTER
+@pytest.mark.parametrize("vl", [2, 4, 8])
+def test_csoa_consecutive_is_soa(vl):
+    geom = Geometry(6, 16, halo=3)
+    values = np.random.default_rng(5).random((NQ, 6, 16))
+    arenas = []
+    for desc in (LayoutDescriptor(Family.SOA),
+                 LayoutDescriptor(Family.CSOA, vl, Clustering.CONSECUTIVE)):
+        buf = FieldBuffer(desc, geom, NQ)
+        buf.set_canonical(values)
+        buf.set_canonical(values[::-1], "nxt")
+        arenas.append((buf.prv, buf.nxt))
+    for soa, csoa in zip(*arenas):
+        assert np.array_equal(soa, csoa)
 
 
 def test_descriptor_validation():
@@ -140,10 +132,11 @@ def test_copy_columns():
     geom = Geometry(6, 8, halo=3)
     buf = FieldBuffer(LayoutDescriptor(Family.CAOSOA, 4), geom, NQ)
     buf.prv[:] = np.arange(buf.size, dtype=np.float64)
-    before = buf.cube().copy()
-    src_cols = buf.prv[before[:, 4:6, :]].copy()
+    offsets = _offsets(buf.desc, geom, NQ)
+    assert np.array_equal(buf.columns(4, 2), offsets[:, 4:6])
     buf.copy_columns(4, 9, 2)
-    assert np.array_equal(buf.prv[before[:, 9:11, :]], src_cols)
+    assert np.array_equal(buf.prv[offsets[:, 9:11]], offsets[:, 4:6])
+    assert np.array_equal(buf.prv[offsets[:, 6:9]], offsets[:, 6:9])
 
 
 @pytest.mark.parametrize("desc", ALL, ids=str)

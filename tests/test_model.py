@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from lbhx.errors import ConfigurationError
-from lbhx.model import (ModelParams, builtin_model, is_valid_to_order,
-                        validate_moments)
+from lbhx.model import ModelParams, builtin_model, validate_moments
 
 # (|cx|, |cy|) -> (shell size, weight) frozen reference values
 D2Q37_SHELLS = {
@@ -68,7 +67,6 @@ def test_moment_conditions(name, order):
     assert set(residuals) == set(range(order + 1))
     for res in residuals.values():
         assert res <= 1e-12
-    assert is_valid_to_order(m, order)
 
 
 def test_velocity_ordering_deterministic():
@@ -90,10 +88,6 @@ def test_model_params_validation():
     assert ModelParams(tau=0.8).tau == 0.8
     with pytest.raises(ConfigurationError):
         ModelParams(tau=0.5)
-    with pytest.raises(ConfigurationError):
-        ModelParams(tau=0.8, dt=0.5)
-    with pytest.raises(ConfigurationError):
-        ModelParams(tau=0.8, eq_order=3)
 
 
 def test_numpy_views_consistent():
