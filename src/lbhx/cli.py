@@ -18,7 +18,7 @@ from .config import DEFAULTS, build_run_config, load_config
 from .errors import (CommunicationFault, ConfigurationError, LbhxError,
                      RuntimeFault, ValidationFailure)
 from .hetero import (HeteroTuningRunner, balance_experiment, make_partition,
-                     random_state, run_simulation, runtime_from_config)
+                     random_state, runtime_from_config, tune_profile)
 from .kernels import (collide_region, interior_region, propagate_region,
                       step_region, update_x_halos_periodic)
 from .layouts import (Family, FieldBuffer, LayoutDescriptor,
@@ -102,9 +102,8 @@ def cmd_bench_kernels(cfg, args) -> BenchReport:
              for name in layouts]
     for desc in descs:
         geom.check_vl(desc)
-    throttle = max(cfg.device_throttle, 1.0)
     pool = args.pool
-    scale = throttle if pool == "device" else 1.0
+    scale = cfg.device_throttle if pool == "device" else 1.0
 
     report = BenchReport("bench", metadata={
         "model": model.name, "lx": str(cfg.lx), "ly": str(cfg.ly),
@@ -227,34 +226,27 @@ def cmd_scale(cfg, args) -> BenchReport:
     rank_counts = [int(r) for r in args.ranks.split(",")]
     model = builtin_model(cfg.model_name)
     state = random_state(model, cfg.lx, cfg.ly, cfg.seed)
-
-    m_star = cfg.m
-    if m_star == 0:
-        with runtime_from_config(cfg) as rt:
-            rt.load_state(state)
-            profile = autotune(HeteroTuningRunner(rt), warmup=2, iters=8)
-        m_star = optimal_m(profile, cfg.lx, cfg.ly)
+    # v2 runs each rank at hetero.m, or else at M* for its own slice width
+    profile = tune_profile(cfg, state) if cfg.m == 0 else None
 
     report = BenchReport("scale", metadata={
         "model": cfg.model_name, "lx": str(cfg.lx), "ly": str(cfg.ly),
-        "transport": args.transport, "m_star": str(m_star),
+        "transport": args.transport,
         "device_throttle": str(cfg.device_throttle),
     })
     finals: dict[tuple, np.ndarray] = {}
     base: dict[str, float] = {}
-    for mode, m in (("v1", 0), ("v2", m_star)):
+    for mode, c, prof in (("v1", dataclasses.replace(cfg, m=0), None),
+                          ("v2", cfg, profile)):
         for n in rank_counts:
-            import copy
-            c = copy.copy(cfg)
-            c.m = min(m, (cfg.lx // n) // 2)
             _, merged, results = run_distributed(
-                c, n, args.transport, initial_state=state)
+                c, n, args.transport, initial_state=state, profile=prof)
             finals[(mode, n)] = merged
             t = statistics.median(
                 t for r in results for t in r.iteration_times)
             rate = mlups(cfg.lx, cfg.ly, t)
             base.setdefault(mode, rate)
-            report.add_row(ranks=n, mode=mode, mlups=rate,
+            report.add_row(ranks=n, mode=mode, m=results[0].m, mlups=rate,
                            speedup=rate / base[mode])
     reference = finals[("v1", rank_counts[0])]
     for key, merged in finals.items():
@@ -375,8 +367,14 @@ def cmd_model_show(cfg, args) -> int:
 # -- dump / load -------------------------------------------------------------
 
 def cmd_dump(cfg, args) -> int:
-    report, final, dumps = run_simulation(cfg)
-    buf = FieldBuffer(cfg.layout, cfg.geometry, builtin_model(cfg.model_name).Q)
+    from .distributed import run_distributed
+
+    model = builtin_model(cfg.model_name)
+    state = random_state(model, cfg.lx, cfg.ly, cfg.seed)
+    profile = tune_profile(cfg, state) if cfg.autotune_m else None
+    report, final, _ = run_distributed(cfg, 1, "in_memory",
+                                       initial_state=state, profile=profile)
+    buf = FieldBuffer(cfg.layout, cfg.geometry, model.Q)
     buf.set_canonical(final)
     write_dump(args.out, buf)
     print(f"wrote {args.out}: {cfg.model_name} {cfg.lx}x{cfg.ly} after "

@@ -1,6 +1,7 @@
 """Flat key-value run configuration: file parsing, flag and env overrides."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -11,9 +12,11 @@ from .layouts import (Clustering, Family, Geometry, LayoutDescriptor,
 from .model import ModelParams, builtin_model
 
 ENV_OVERRIDES = {
-    "LBHX_HOST_WORKERS": "pool.host_workers",
     "LBHX_DEVICE_THROTTLE": "pool.device_throttle",
 }
+
+#: X halo width for every model: the reach of D2Q37, the widest stencil
+HALO = 3
 
 DEFAULTS: dict[str, str] = {
     "lattice.lx": "48",
@@ -26,10 +29,8 @@ DEFAULTS: dict[str, str] = {
     "bc.y": PERIODIC,
     "hetero.m": "0",
     "hetero.autotune": "false",
-    "pool.host_workers": "1",
     "pool.device_throttle": "1",
     "run.iterations": "10",
-    "run.dump_every": "0",
     "run.seed": "1",
     "ranks.endpoints": "",
 }
@@ -111,17 +112,14 @@ class RunConfig:
     policy: BoundaryPolicy
     m: int
     autotune_m: bool
-    host_workers: int
     device_throttle: float
     iterations: int
-    dump_every: int
     seed: int
     endpoints: list[str] = field(default_factory=list)
-    raw: dict[str, str] = field(default_factory=dict)
 
     @property
     def geometry(self) -> Geometry:
-        return Geometry(self.lx, self.ly, halo=3)
+        return Geometry(self.lx, self.ly, halo=HALO)
 
 
 def build_run_config(values: dict[str, str]) -> RunConfig:
@@ -133,7 +131,7 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
         desc = LayoutDescriptor(family)
     model = builtin_model(values["model"])  # validates the model name
     geom = Geometry(_as_int(values, "lattice.lx"), _as_int(values, "lattice.ly"),
-                    halo=3)
+                    halo=HALO)
     geom.check_vl(desc)
     if geom.halo < model.R:
         raise ConfigurationError("halo narrower than the model stencil reach")
@@ -145,6 +143,11 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
     if 2 * m > geom.lx:
         raise ConfigurationError(f"hetero.m={m} exceeds LX/2")
     params = ModelParams(tau=_as_float(values, "tau"))  # validates tau
+    throttle = _as_float(values, "pool.device_throttle")
+    if not (math.isfinite(throttle) and throttle >= 1.0):
+        raise ConfigurationError(
+            f"pool.device_throttle must be a finite number >= 1, "
+            f"got {values['pool.device_throttle']!r}")
     endpoints = [e.strip() for e in values["ranks.endpoints"].split(",")
                  if e.strip()]
     iterations = _as_int(values, "run.iterations")
@@ -158,11 +161,8 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
         policy=BoundaryPolicy(values["bc.y"]),
         m=m,
         autotune_m=autotune_m,
-        host_workers=_as_int(values, "pool.host_workers"),
-        device_throttle=_as_float(values, "pool.device_throttle"),
+        device_throttle=throttle,
         iterations=iterations,
-        dump_every=_as_int(values, "run.dump_every"),
         seed=_as_int(values, "run.seed"),
         endpoints=endpoints,
-        raw=dict(values),
     )

@@ -17,7 +17,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -138,24 +138,22 @@ class TcpTransport(Transport):
     """One socket per unordered rank pair, rendezvous via an endpoint list."""
 
     def __init__(self, rank: int, endpoints: list[str], peers: set[int],
-                 connect_timeout: float = 15.0):
+                 listener: socket.socket, connect_timeout: float = 15.0):
+        """`listener` is this rank's socket, already bound to
+        `endpoints[rank]` and listening; the transport closes it once every
+        higher-numbered peer has dialed in."""
         super().__init__(rank)
         self.endpoints = endpoints
         self._socks: dict[int, socket.socket] = {}
-        host, port = self._parse(endpoints[rank])
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
         higher = sorted(p for p in peers if p > rank)
         lower = sorted(p for p in peers if p < rank)
-        listener.listen(len(higher) + 1)
         # lower-numbered ranks accept, higher-numbered ranks dial
         accepted = 0
-        for peer in lower:
-            self._socks[peer] = self._dial(self.endpoints[peer],
-                                           connect_timeout)
         listener.settimeout(connect_timeout)
         try:
+            for peer in lower:
+                self._socks[peer] = self._dial(self.endpoints[peer],
+                                               connect_timeout)
             while accepted < len(higher):
                 conn, _addr = listener.accept()
                 conn.settimeout(IO_TIMEOUT)
@@ -310,36 +308,27 @@ class RankResult:
     iteration_times: list[float] = field(default_factory=list)
     bytes_sent: int = 0
     bytes_received: int = 0
-    dumps: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    m: int = 0
 
 
-def _rank_body(cfg, layout: RankLayout, transport: Transport,
+def _rank_body(cfg, layout: RankLayout, m: int, transport: Transport,
                initial_slice: np.ndarray, result_slot: list,
                start_barrier: threading.Barrier) -> None:
     from .hetero import make_partition, runtime_from_config
-
-    local_cfg_geom_lx = layout.width
-    import copy
-    local_cfg = copy.copy(cfg)
-    local_cfg.lx = local_cfg_geom_lx
 
     def exchanger(buf: FieldBuffer) -> None:
         exchange_rank_halos(buf, layout, transport)
 
     try:
-        with runtime_from_config(local_cfg, rank_exchange=exchanger) as rt:
+        with runtime_from_config(replace(cfg, lx=layout.width),
+                                 rank_exchange=exchanger) as rt:
             start_barrier.wait(timeout=60)
             rt.load_state(initial_slice)
-            plan = make_partition(rt.geom, local_cfg.m)
+            plan = make_partition(rt.geom, m)
             transport.reset_counters()
-            res = RankResult(layout=layout, final=None)
-            if cfg.dump_every > 0:
-                res.dumps.append((0, rt.state(plan)))
-            for it in range(cfg.iterations):
-                timing = rt.run_timestep(plan)
-                res.iteration_times.append(timing.t_exe)
-                if cfg.dump_every > 0 and (it + 1) % cfg.dump_every == 0:
-                    res.dumps.append((it + 1, rt.state(plan)))
+            res = RankResult(layout=layout, final=None, m=m)
+            for _ in range(cfg.iterations):
+                res.iteration_times.append(rt.run_timestep(plan).t_exe)
             res.final = rt.state(plan)
             res.bytes_sent = transport.bytes_sent
             res.bytes_received = transport.bytes_received
@@ -352,23 +341,25 @@ def _rank_body(cfg, layout: RankLayout, transport: Transport,
 
 def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
                     endpoints: list[str] | None = None,
-                    initial_state: np.ndarray | None = None):
+                    initial_state: np.ndarray | None = None, profile=None):
     """Run the configured simulation on n ranks and merge the results.
 
     Ranks execute as threads in this process; the TCP transport still moves
     every halo byte through real sockets, so the wire path matches a
-    multi-process deployment.  Returns (BenchReport, merged canonical state,
-    list of RankResult).
+    multi-process deployment.  Each rank's border width comes from
+    `hetero.rank_border_widths` with `profile`.  Returns (BenchReport,
+    merged canonical state, list of RankResult).
     """
     import statistics
 
-    from .hetero import random_state
+    from .hetero import random_state, rank_border_widths
     from .model import builtin_model
     from .perf_model import mlups
     from .report import BenchReport
 
     model = builtin_model(cfg.model_name)
-    layouts = decompose_x(cfg.lx, n_ranks, halo=3)
+    layouts = decompose_x(cfg.lx, n_ranks, halo=cfg.geometry.halo)
+    ms = rank_border_widths(cfg, [lay.width for lay in layouts], profile)
     if initial_state is None:
         initial_state = random_state(model, cfg.lx, cfg.ly, cfg.seed)
 
@@ -376,9 +367,8 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
         fabric = InMemoryFabric(n_ranks)
         transports = [fabric.transport(r) for r in range(n_ranks)]
     elif transport_kind == "tcp":
-        if endpoints is None:
-            endpoints = cfg.endpoints or _local_endpoints(n_ranks)
-        if len(endpoints) != n_ranks:
+        endpoints = endpoints or cfg.endpoints or None
+        if endpoints is not None and len(endpoints) != n_ranks:
             raise ConfigurationError(
                 f"need {n_ranks} endpoints, got {len(endpoints)}")
         transports = _tcp_rendezvous(layouts, endpoints)
@@ -388,10 +378,10 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
     barrier = threading.Barrier(n_ranks)
     slots: list[list] = [[None] for _ in range(n_ranks)]
     threads = []
-    for lay, transport, slot in zip(layouts, transports, slots):
+    for lay, m, transport, slot in zip(layouts, ms, transports, slots):
         sl = initial_state[:, lay.x0:lay.x0 + lay.width, :].copy()
         th = threading.Thread(target=_rank_body,
-                              args=(cfg, lay, transport, sl, slot, barrier),
+                              args=(cfg, lay, m, transport, sl, slot, barrier),
                               name=f"lbhx-rank{lay.rank}")
         th.start()
         threads.append(th)
@@ -418,7 +408,7 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
         report.metadata["mlups"] = repr(mlups(cfg.lx, cfg.ly, median_t))
     for r in results:
         report.add_row(rank=r.layout.rank, x0=r.layout.x0,
-                       width=r.layout.width,
+                       width=r.layout.width, m=r.m,
                        bytes_sent=r.bytes_sent,
                        bytes_received=r.bytes_received,
                        median_t_exe=(statistics.median(r.iteration_times)
@@ -426,30 +416,35 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
     return report, merged, results
 
 
-def _local_endpoints(n_ranks: int) -> list[str]:
-    """Pick n free loopback ports."""
-    endpoints = []
-    socks = []
-    for _ in range(n_ranks):
-        s = socket.socket()
-        s.bind(("127.0.0.1", 0))
-        endpoints.append(f"127.0.0.1:{s.getsockname()[1]}")
-        socks.append(s)
-    for s in socks:
-        s.close()
-    return endpoints
-
-
 def _tcp_rendezvous(layouts: list[RankLayout],
-                    endpoints: list[str]) -> list[TcpTransport]:
-    """Build all rank transports concurrently (they block on each other)."""
+                    endpoints: list[str] | None = None) -> list[TcpTransport]:
+    """Build all rank transports concurrently (they block on each other).
+
+    Every rank's listener is bound before any rank dials.  Without
+    endpoints, each listens on a loopback port the system picks, so no
+    other process can take a port between choosing and binding it.
+    """
+    addrs = ([TcpTransport._parse(e) for e in endpoints] if endpoints
+             else [("127.0.0.1", 0)] * len(layouts))
+    listeners: list[socket.socket] = []
+    for rank, (host, port) in enumerate(addrs):
+        try:
+            listeners.append(socket.create_server((host, port)))
+        except OSError as exc:
+            for sock in listeners:
+                sock.close()
+            raise CommunicationFault(
+                f"rank {rank}: cannot listen on {host}:{port} "
+                f"(phase: rendezvous): {exc}") from None
+    endpoints = ["%s:%d" % sock.getsockname()[:2] for sock in listeners]
     transports: list = [None] * len(layouts)
     errors: list = []
 
     def build(lay: RankLayout):
         try:
             peers = {lay.left, lay.right} - {lay.rank}
-            transports[lay.rank] = TcpTransport(lay.rank, endpoints, peers)
+            transports[lay.rank] = TcpTransport(lay.rank, endpoints, peers,
+                                                listeners[lay.rank])
         except Exception as exc:
             errors.append((lay.rank, exc))
 

@@ -1,27 +1,28 @@
-"""One rank's timestep split between a host pool and an emulated accelerator.
+"""One rank's timestep split between the host thread and an emulated
+accelerator.
 
 The lattice slice is partitioned into left border, bulk and right border.
-The bulk lives in a separate buffer owned by the "device" pool (a dedicated
-worker thread, optionally throttled to emulate a slower or faster
-accelerator); the borders live in the host buffer.  Each step:
+The bulk lives in a separate buffer owned by the "device" (a dedicated
+worker thread, optionally throttled to emulate a slower accelerator); the
+borders live in the host buffer.  Each step:
 
   1. the host exchanges rank halos (periodic wrap when running standalone),
   2. the bulk kernels are enqueued on the device's ordered queue,
-  3. the host runs the same kernels on both borders concurrently,
+  3. the calling thread runs the same kernels on both borders meanwhile,
   4. barrier, then the H columns adjacent to each bulk boundary are swapped
      between the two buffers in both directions.
 
 When M < H the bulk stencil reaches into the rank halo columns, so those are
 additionally pushed host->device right after the exchange, before the device
-kernels launch.  The end state is bit-identical for every legal M and pool
-configuration.
+kernels launch.  The end state is bit-identical for every legal M and
+throttle.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,18 +69,6 @@ def make_partition(geom: Geometry, m: int) -> PartitionPlan:
     return PartitionPlan(m=m, geom=geom, left=left, bulk=bulk, right=right)
 
 
-@dataclass(frozen=True)
-class PoolConfig:
-    host_workers: int = 1
-    device_throttle: float = 1.0
-
-    def __post_init__(self):
-        if self.host_workers < 1:
-            raise ConfigurationError("host_workers must be >= 1")
-        if self.device_throttle < 1.0:
-            raise ConfigurationError("device_throttle must be >= 1")
-
-
 @dataclass
 class TimestepTiming:
     t_acc: float = 0.0
@@ -95,6 +84,10 @@ class TimestepTiming:
 #: Propagate and bc make no temporaries and run once per region.
 TILE_COLUMNS = 32
 
+#: Seconds a step waits for the device queue to drain before it fails with a
+#: RuntimeFault.
+WATCHDOG_TIMEOUT = 120.0
+
 
 def _tile_columns(region: Region, tile: int = TILE_COLUMNS) -> list[Region]:
     return [Region(x0, min(x0 + tile, region.x_end),
@@ -103,7 +96,7 @@ def _tile_columns(region: Region, tile: int = TILE_COLUMNS) -> list[Region]:
 
 
 class HeteroRuntime:
-    """Orchestrates one rank's buffers, pools and halo movement.
+    """Orchestrates one rank's buffers, device queue and halo movement.
 
     `rank_exchange` is called with the host buffer at the start of every step
     and must refresh the outer halo columns; the default performs a periodic
@@ -112,32 +105,29 @@ class HeteroRuntime:
 
     def __init__(self, model: LatticeModel, params: ModelParams,
                  desc: LayoutDescriptor, geom: Geometry,
-                 pools: PoolConfig | None = None,
+                 device_throttle: float = 1.0,
                  policy: BoundaryPolicy | None = None,
-                 rank_exchange=None,
-                 watchdog_timeout: float = 120.0):
+                 rank_exchange=None):
         if geom.halo < model.R:
             raise ConfigurationError(
                 f"halo width {geom.halo} < model reach {model.R}")
+        if not device_throttle >= 1.0:
+            raise ConfigurationError("device_throttle must be >= 1")
         self.model = model
         self.params = params
-        self.pools = pools or PoolConfig()
+        self.device_throttle = device_throttle
         self.policy = policy or BoundaryPolicy()
-        self.watchdog_timeout = watchdog_timeout
         self.host_buf = FieldBuffer(desc, geom, model.Q)
         self.device_buf = FieldBuffer(desc, geom, model.Q)
         self.rank_exchange = rank_exchange or self._periodic_exchange
         # single dispatcher thread = the accelerator's ordered logical queue
         self._device_queue = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="lbhx-device")
-        self._host_pool = ThreadPoolExecutor(
-            max_workers=self.pools.host_workers, thread_name_prefix="lbhx-host")
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
         self._device_queue.shutdown(wait=True)
-        self._host_pool.shutdown(wait=True)
 
     def __enter__(self):
         return self
@@ -199,24 +189,16 @@ class HeteroRuntime:
 
     # -- kernel execution ----------------------------------------------------
 
-    def _run_kernels(self, buf: FieldBuffer, regions: list[Region],
-                     pool: ThreadPoolExecutor | None) -> None:
-        """propagate and bc per region, then collide per column tile, with
-        kernel barriers; the pieces run serially unless a pool is given."""
-        tiles = [t for region in regions for t in _tile_columns(region)]
-
-        def over(fn, chunks):
-            if pool is None or len(chunks) == 1:
-                for ch in chunks:
-                    fn(ch)
-                return
-            futures = [pool.submit(fn, ch) for ch in chunks]
-            for fut in futures:
-                fut.result()
-
-        over(lambda r: propagate_region(self.model, buf, r), regions)
-        over(lambda r: apply_bc(self.model, buf, self.policy, r), regions)
-        over(lambda t: collide_region(self.model, self.params, buf, t), tiles)
+    def _run_kernels(self, buf: FieldBuffer, regions: list[Region]) -> None:
+        """propagate and bc per region, then collide per column tile, each
+        kernel over every region before the next starts."""
+        for region in regions:
+            propagate_region(self.model, buf, region)
+        for region in regions:
+            apply_bc(self.model, buf, self.policy, region)
+        for region in regions:
+            for tile in _tile_columns(region):
+                collide_region(self.model, self.params, buf, tile)
 
     def _device_compute(self, plan: PartitionPlan) -> float:
         """Bulk kernels on the device buffer; returns the thread CPU time.
@@ -227,17 +209,15 @@ class HeteroRuntime:
         if plan.bulk is None:
             return 0.0
         t0 = time.thread_time()
-        self._run_kernels(self.device_buf, [plan.bulk], None)
+        self._run_kernels(self.device_buf, [plan.bulk])
         return time.thread_time() - t0
-
 
     def _host_phase(self, plan: PartitionPlan) -> float:
         regions = [r for r in (plan.left, plan.right) if r is not None]
         if not regions:
             return 0.0
         t0 = time.perf_counter()
-        pool = self._host_pool if self.pools.host_workers > 1 else None
-        self._run_kernels(self.host_buf, regions, pool)
+        self._run_kernels(self.host_buf, regions)
         return time.perf_counter() - t0
 
     # -- the step ------------------------------------------------------------
@@ -274,12 +254,12 @@ class HeteroRuntime:
         timing.t_host = self._host_phase(plan)
 
         try:
-            compute_cpu = compute_future.result(timeout=self.watchdog_timeout)
+            compute_cpu = compute_future.result(timeout=WATCHDOG_TIMEOUT)
         except FutureTimeoutError:
             raise RuntimeFault(
-                f"device queue did not drain within {self.watchdog_timeout}s "
+                f"device queue did not drain within {WATCHDOG_TIMEOUT}s "
                 f"(phase: bulk kernels, M={plan.m})") from None
-        timing.t_acc = compute_cpu * max(self.pools.device_throttle, 1.0)
+        timing.t_acc = compute_cpu * self.device_throttle
 
         # the device stays busy for throttle x its compute time; if the host
         # track finished first, wait out the rest of the device window
@@ -298,7 +278,8 @@ class HeteroRuntime:
 # -- auto-tuning harness -----------------------------------------------------
 
 class HeteroTuningRunner:
-    """perf_model.TuningRunner backed by a live runtime's pools.
+    """perf_model.TuningRunner backed by a live runtime's host thread and
+    device queue.
 
     Times the full kernel pipeline on scratch regions of varying width, the
     rank-halo exchange, and the device<->host halo swap, without touching the
@@ -327,27 +308,22 @@ class HeteroTuningRunner:
         return [w * self.rt.geom.ly for w in self.widths]
 
     def time_compute(self, pool: str, sites: int) -> float:
-        width = sites // self.rt.geom.ly
-        region = self._region(width)
+        region = self._region(sites // self.rt.geom.ly)
         rt = self.rt
 
-        def body() -> float:
-            t0 = time.perf_counter()
-            rt._run_kernels(self._scratch, [region], None)
-            return time.perf_counter() - t0
+        def body(clock) -> float:
+            t0 = clock()
+            rt._run_kernels(self._scratch, [region])
+            return clock() - t0
 
         if pool == "host":
-            return body()
+            return body(time.perf_counter)
         if pool == "device":
             # device cost is thread CPU time x throttle, matching the step's
             # accounting; no concurrency is exercised here, so sleeping the
             # padding out would only add noise
-            def cpu_body() -> float:
-                t0 = time.thread_time()
-                rt._run_kernels(self._scratch, [region], None)
-                return time.thread_time() - t0
-            elapsed = rt._device_queue.submit(cpu_body).result()
-            return elapsed * max(rt.pools.device_throttle, 1.0)
+            cpu = rt._device_queue.submit(body, time.thread_time).result()
+            return cpu * rt.device_throttle
         raise ConfigurationError(f"unknown pool {pool!r}")
 
     def time_comm(self) -> float:
@@ -380,7 +356,7 @@ def balance_experiment(runtime: HeteroRuntime, widths: list[int],
                        ) -> tuple["PerfProfile", list[BalancePoint]]:
     """Tune a profile and sweep border widths, sampled in one interleaved loop.
 
-    Every measurand -- the tuning regions on both pools, the exchange and swap
+    Every measurand -- the tuning regions on both tracks, the exchange and swap
     transfers, and each sweep point's full timestep -- is sampled once per
     round, in an order reshuffled every round, and aggregated by the mean of
     its three fastest rounds.  On a shared host, interference only ever adds
@@ -438,7 +414,7 @@ def balance_experiment(runtime: HeteroRuntime, widths: list[int],
     return profile, points
 
 
-# -- whole-run driver --------------------------------------------------------
+# -- run set-up --------------------------------------------------------------
 
 def random_state(model: LatticeModel, lx: int, ly: int, seed: int) -> np.ndarray:
     """Seeded positive canonical state: weights plus a small perturbation."""
@@ -455,68 +431,29 @@ def runtime_from_config(cfg, rank_exchange=None) -> HeteroRuntime:
         params=ModelParams(tau=cfg.tau),
         desc=cfg.layout,
         geom=cfg.geometry,
-        pools=PoolConfig(cfg.host_workers, cfg.device_throttle),
+        device_throttle=cfg.device_throttle,
         policy=cfg.policy,
         rank_exchange=rank_exchange,
     )
 
 
-def run_simulation(cfg, initial_state: np.ndarray | None = None,
-                   tuning_iters: int = 8):
-    """Execute a configured run: optional M auto-tuning, N timesteps, report.
-
-    Returns (BenchReport, final canonical state, dumps) where dumps is a list
-    of (iteration, canonical array) captured every `run.dump_every` steps.
-    """
-    import statistics
-
-    from .perf_model import autotune, mlups, optimal_m
-    from .report import BenchReport
-
+def tune_profile(cfg, state: np.ndarray) -> "PerfProfile":
+    """Measure a time-model profile on a one-rank runtime of the whole
+    configured lattice, loaded with `state`."""
+    from .perf_model import autotune
     with runtime_from_config(cfg) as rt:
-        model = rt.model
-        state = initial_state
-        if state is None:
-            state = random_state(model, cfg.lx, cfg.ly, cfg.seed)
         rt.load_state(state)
+        return autotune(HeteroTuningRunner(rt), warmup=2, iters=8)
 
-        m = cfg.m
-        profile = None
-        if cfg.autotune_m:
-            profile = autotune(HeteroTuningRunner(rt),
-                               warmup=2, iters=tuning_iters)
-            m = optimal_m(profile, cfg.lx, cfg.ly)
-        plan = make_partition(rt.geom, m)
 
-        report = BenchReport("run", metadata={
-            "model": model.name,
-            "layout": cfg.layout.family.name.lower(),
-            "vl": str(cfg.layout.vl),
-            "lx": str(cfg.lx), "ly": str(cfg.ly),
-            "m": str(m),
-            "autotuned": str(cfg.autotune_m).lower(),
-            "device_throttle": str(cfg.device_throttle),
-            "seed": str(cfg.seed),
-        })
-        if profile is not None:
-            report.metadata["profile.tau_d"] = repr(profile.tau_d)
-            report.metadata["profile.tau_h"] = repr(profile.tau_h)
+def rank_border_widths(cfg, widths: list[int], profile=None) -> list[int]:
+    """Each rank's border width M, given the widths of the rank slices.
 
-        dumps: list[tuple[int, np.ndarray]] = []
-        times: list[float] = []
-        if cfg.dump_every > 0:
-            dumps.append((0, rt.state(plan)))
-        for it in range(cfg.iterations):
-            timing = rt.run_timestep(plan)
-            times.append(timing.t_exe)
-            report.add_row(iteration=it, t_acc=timing.t_acc,
-                           t_host=timing.t_host, t_mpi=timing.t_mpi,
-                           t_swap=timing.t_swap, t_exe=timing.t_exe)
-            if cfg.dump_every > 0 and (it + 1) % cfg.dump_every == 0:
-                dumps.append((it + 1, rt.state(plan)))
-        if times:
-            median_t = statistics.median(times)
-            report.metadata["median_t_exe"] = repr(median_t)
-            report.metadata["mlups"] = repr(mlups(cfg.lx, cfg.ly, median_t))
-        final = rt.state(plan)
-    return report, final, dumps
+    Without a profile every rank runs at `hetero.m`, capped at half its
+    slice.  With one, each rank runs at the profile's M* for its own slice,
+    so the device keeps a bulk to work on at every rank count.
+    """
+    from .perf_model import optimal_m
+    if profile is None:
+        return [min(cfg.m, w // 2) for w in widths]
+    return [optimal_m(profile, w, cfg.ly) for w in widths]

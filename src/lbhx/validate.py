@@ -219,9 +219,8 @@ def check_taylor_green(tolerance: float = 0.02, **kw) -> CheckResult:
 
 def check_hetero_equivalence(inject_skip_halo_swap: bool = False,
                              seed: int = 5) -> CheckResult:
-    """Final state is bit-identical across border widths (and pool splits)."""
-    from .hetero import (HeteroRuntime, PoolConfig, make_partition,
-                         random_state)
+    """Final state is bit-identical across border widths."""
+    from .hetero import HeteroRuntime, make_partition, random_state
 
     model = builtin_model("d2q9")
     params = ModelParams(tau=0.8)
@@ -230,8 +229,7 @@ def check_hetero_equivalence(inject_skip_halo_swap: bool = False,
     init = random_state(model, geom.lx, geom.ly, seed)
     finals = {}
     for m in (0, 8, 12):
-        with HeteroRuntime(model, params, desc, geom,
-                           pools=PoolConfig(host_workers=2)) as rt:
+        with HeteroRuntime(model, params, desc, geom) as rt:
             rt.load_state(init)
             plan = make_partition(geom, m)
             for _ in range(10):

@@ -14,8 +14,8 @@ import numpy as np
 from lbhx import validate as V
 from lbhx.config import DEFAULTS, build_run_config
 from lbhx.distributed import run_distributed
-from lbhx.hetero import (HeteroRuntime, PoolConfig, balance_experiment,
-                         make_partition, random_state)
+from lbhx.hetero import (HeteroRuntime, balance_experiment, make_partition,
+                         random_state)
 from lbhx.layouts import Family, Geometry, LayoutDescriptor
 from lbhx.model import ModelParams, builtin_model, validate_moments
 from lbhx.perf_model import PerfProfile, autotune, mlups, optimal_m, predict
@@ -146,7 +146,7 @@ def test_07_hetero_split_timing(capsys):
     for m in (0, 12, 19):
         with HeteroRuntime(model, params, LayoutDescriptor(Family.CSOA, 4),
                            geom_s,
-                           pools=PoolConfig(device_throttle=THROTTLE)) as rt:
+                           device_throttle=THROTTLE) as rt:
             rt.load_state(init)
             plan = make_partition(geom_s, m)
             for _ in range(10):
@@ -166,7 +166,7 @@ def test_07_hetero_split_timing(capsys):
     for attempt in range(attempts):
         with HeteroRuntime(model, params, LayoutDescriptor(Family.CSOA, 4),
                            geom,
-                           pools=PoolConfig(device_throttle=THROTTLE)) as rt:
+                           device_throttle=THROTTLE) as rt:
             rt.load_state(random_state(model, lx, ly, 72 + attempt))
             profile, points = balance_experiment(rt, widths, m_points,
                                                  rounds=20)

@@ -169,12 +169,40 @@ def test_scale_structure(capsys):
                            "--run-iterations", "2", "--hetero-m", "4")
     assert code == 0
     report = BenchReport.from_csv(out)
-    assert report.columns == ["ranks", "mode", "mlups", "speedup"]
+    assert report.columns == ["ranks", "mode", "m", "mlups", "speedup"]
     assert len(report.rows) == 4  # 2 rank counts x {v1, v2}
+    assert [r["m"] for r in report.rows] == [0, 0, 4, 4]
     assert report.metadata["finals_identical"] == "true"
     for mode in ("v1", "v2"):
         first = next(r for r in report.rows if r["mode"] == mode)
         assert first["speedup"] == 1.0
+
+
+def test_scale_v2_tunes_m_per_rank_width(capsys, monkeypatch):
+    """With tau_d = 2 tau_h, M* is 14 on the whole 48-column lattice but 6 on
+    a 24-column rank: a 2-rank v2 run must keep its devices busy."""
+    import lbhx.cli
+    from lbhx.perf_model import PerfProfile
+    profile = PerfProfile(tau_d=2e-8, tau_h=1e-8, tau_c=768e-8)
+    monkeypatch.setattr(lbhx.cli, "tune_profile", lambda cfg, state: profile)
+    code, out, _ = run_cli(capsys, "scale", "--ranks", "1,2",
+                           "--lattice-lx", "48", "--lattice-ly", "64",
+                           "--run-iterations", "1")
+    assert code == 0
+    v2 = {r["ranks"]: r["m"] for r in BenchReport.from_csv(out).rows
+          if r["mode"] == "v2"}
+    assert v2 == {1: 14, 2: 6}
+    assert all(2 * m < 48 // n for n, m in v2.items())  # non-empty bulk
+
+
+@pytest.mark.parametrize("command", ["bench", "dump"])
+def test_throttle_below_one_is_config_error(tmp_path, capsys, command):
+    args = {"bench": ["--iters", "1"],
+            "dump": ["--out", str(tmp_path / "state.lbhx")]}[command]
+    code, _, err = run_cli(capsys, command, *args,
+                           "--pool-device-throttle", "0.5")
+    assert code == 1
+    assert "pool.device_throttle" in err
 
 
 def test_autotune_csv(capsys, tmp_path):

@@ -30,14 +30,14 @@ def test_parse_config_text():
 
 def test_precedence_file_env_overrides(tmp_path, monkeypatch):
     path = tmp_path / "run.cfg"
-    path.write_text("pool.host_workers = 2\ntau = 0.9\n")
-    monkeypatch.setenv("LBHX_HOST_WORKERS", "3")
+    path.write_text("pool.device_throttle = 2\ntau = 0.9\n")
+    monkeypatch.setenv("LBHX_DEVICE_THROTTLE", "3")
     values = load_config(str(path), overrides={"tau": "0.7"})
-    assert values["pool.host_workers"] == "3"  # env beats file
-    assert values["tau"] == "0.7"              # explicit beats file
-    monkeypatch.delenv("LBHX_HOST_WORKERS")
+    assert values["pool.device_throttle"] == "3"  # env beats file
+    assert values["tau"] == "0.7"                 # explicit beats file
+    monkeypatch.delenv("LBHX_DEVICE_THROTTLE")
     values = load_config(str(path))
-    assert values["pool.host_workers"] == "2"
+    assert values["pool.device_throttle"] == "2"
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -72,6 +72,9 @@ def test_build_validation():
         _build(**{"run.iterations": "-1"})
     with pytest.raises(ConfigurationError):
         _build(**{"lattice.lx": "many"})
+    for throttle in ("0.5", "nan", "inf"):
+        with pytest.raises(ConfigurationError, match="device_throttle"):
+            _build(**{"pool.device_throttle": throttle})
     cfg = _build(**{"bc.y": WALL_BOUNCE_BACK, "layout": "soa", "vl": "1"})
     assert cfg.policy.y_mode == WALL_BOUNCE_BACK
     assert cfg.layout.family == Family.SOA
@@ -80,3 +83,32 @@ def test_build_validation():
 def test_endpoints_parsed():
     cfg = _build(**{"ranks.endpoints": "127.0.0.1:7000, 127.0.0.1:7001"})
     assert cfg.endpoints == ["127.0.0.1:7000", "127.0.0.1:7001"]
+
+
+#: a legal non-default value for every configuration key
+KNOB_VALUES = {
+    "lattice.lx": "64",
+    "lattice.ly": "32",
+    "model": "d2q37",
+    "layout": "csoa",
+    "vl": "8",
+    "clustering": "consecutive",
+    "tau": "0.9",
+    "bc.y": WALL_BOUNCE_BACK,
+    "hetero.m": "4",
+    "hetero.autotune": "true",
+    "pool.device_throttle": "2",
+    "run.iterations": "3",
+    "run.seed": "7",
+    "ranks.endpoints": "127.0.0.1:7000",
+}
+
+
+def test_every_key_changes_the_run_config():
+    """A key whose value never reaches the RunConfig has no effect; adding a
+    key means giving it a test value here."""
+    assert list(DEFAULTS) == list(KNOB_VALUES)
+    base = build_run_config(dict(DEFAULTS))
+    for key, value in KNOB_VALUES.items():
+        assert value != DEFAULTS[key]
+        assert build_run_config(dict(DEFAULTS, **{key: value})) != base, key

@@ -8,8 +8,9 @@ from lbhx.distributed import (InMemoryFabric, RankLayout, decompose_x,
                               exchange_rank_halos, run_distributed)
 from lbhx.errors import CommunicationFault, ConfigurationError
 from lbhx.hetero import random_state
+from lbhx.kernels import run_steps
 from lbhx.layouts import Family, FieldBuffer, Geometry, LayoutDescriptor
-from lbhx.model import builtin_model
+from lbhx.model import ModelParams, builtin_model
 
 
 def _cfg(**overrides):
@@ -104,20 +105,33 @@ def test_n_ranks_match_single_rank(transport, n_ranks):
         assert r.bytes_received == expected
 
 
-def test_distributed_dumps_and_merge():
+def test_distributed_merge_and_report():
     cfg = _cfg(**{"lattice.lx": 48, "lattice.ly": 16, "run.iterations": 4,
-                  "run.dump_every": 2, "hetero.m": 0})
+                  "hetero.m": 0})
     model = builtin_model(cfg.model_name)
     init = random_state(model, 48, 16, 55)
     report, merged, results = run_distributed(cfg, 2, "in_memory",
                                               initial_state=init)
     assert merged.shape == (model.Q, 48, 16)
-    for r in results:
-        assert [it for it, _ in r.dumps] == [0, 2, 4]
-    merged_last = np.concatenate([r.dumps[-1][1] for r in results], axis=1)
-    assert np.array_equal(merged_last, merged)
+    assert np.array_equal(
+        merged, np.concatenate([r.final for r in results], axis=1))
     assert report.metadata["n_ranks"] == "2"
+    assert "mlups" in report.metadata and "median_t_exe" in report.metadata
     assert len(report.rows) == 2
+
+
+def test_one_rank_run_equals_reference():
+    """The configured run (seeded state, M=4) against the single-buffer
+    reference, through the driver that `lbhx dump` uses."""
+    cfg = _cfg(**{"lattice.lx": 24, "lattice.ly": 32, "run.iterations": 5,
+                  "hetero.m": 4})
+    model = builtin_model(cfg.model_name)
+    buf = FieldBuffer(cfg.layout, cfg.geometry, model.Q)
+    buf.set_canonical(random_state(model, 24, 32, cfg.seed))
+    run_steps(model, ModelParams(tau=cfg.tau), buf, 5, cfg.policy)
+    _, final, results = run_distributed(cfg, 1, "in_memory")
+    assert results[0].m == 4
+    assert np.array_equal(final, buf.canonical("prv"))
 
 
 def test_unknown_transport_rejected():
@@ -132,13 +146,29 @@ def test_tcp_endpoint_count_checked():
         run_distributed(cfg, 2, "tcp", endpoints=["127.0.0.1:1"])
 
 
+def test_tcp_endpoint_in_use_names_rank():
+    """Every listener is bound before any rank dials, so a taken port fails
+    the rendezvous at once, naming the rank."""
+    import socket
+    taken = socket.socket()
+    taken.bind(("127.0.0.1", 0))
+    taken.listen()
+    try:
+        endpoints = ["127.0.0.1:%d" % taken.getsockname()[1]] * 2
+        with pytest.raises(CommunicationFault, match="rank 0: cannot listen"):
+            run_distributed(_cfg(**{"lattice.lx": 48, "lattice.ly": 16}), 2,
+                            "tcp", endpoints=endpoints)
+    finally:
+        taken.close()
+
+
 def test_tcp_io_deadline_names_rank_peer_and_phase(monkeypatch):
     """Both ends of a link carry the same I/O deadline; a peer that never
     sends makes recv fail with a CommunicationFault instead of hanging."""
     import lbhx.distributed as D
     monkeypatch.setattr(D, "IO_TIMEOUT", 0.2)
     layouts = decompose_x(24, 2)
-    transports = D._tcp_rendezvous(layouts, D._local_endpoints(2))
+    transports = D._tcp_rendezvous(layouts)
     try:
         for t in transports:
             assert t._socks[1 - t.rank].gettimeout() == 0.2

@@ -1,14 +1,14 @@
 """Host/device split-execution tests: partition bookkeeping, bit-exact
 equivalence against the single-buffer reference for every border width, and
-the whole-run driver."""
+the choice of each rank's border width."""
 import numpy as np
 import pytest
 
 from lbhx.config import DEFAULTS, build_run_config
 from lbhx.errors import ConfigurationError
-from lbhx.hetero import (HeteroRuntime, HeteroTuningRunner, PoolConfig,
+from lbhx.hetero import (HeteroRuntime, HeteroTuningRunner,
                          balance_experiment, make_partition, random_state,
-                         run_simulation)
+                         rank_border_widths)
 from lbhx.kernels import BoundaryPolicy, run_steps
 from lbhx.layouts import Family, FieldBuffer, Geometry, LayoutDescriptor
 from lbhx.model import ModelParams, builtin_model
@@ -45,24 +45,23 @@ def test_make_partition_geometry():
         make_partition(GEOM, -1)
 
 
-def test_pool_config_guards():
-    with pytest.raises(ConfigurationError):
-        PoolConfig(host_workers=0)
-    with pytest.raises(ConfigurationError):
-        PoolConfig(device_throttle=0.5)
+def test_device_throttle_guard():
+    model = builtin_model("d2q9")
+    for throttle in (0.5, float("nan")):
+        with pytest.raises(ConfigurationError, match="device_throttle"):
+            HeteroRuntime(model, ModelParams(tau=0.8), DESC, GEOM,
+                          device_throttle=throttle)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 12])
-@pytest.mark.parametrize("host_workers", [1, 2])
-def test_split_matches_reference_every_m(m, host_workers):
+def test_split_matches_reference_every_m(m):
     """All widths, including M < halo (early-exchange path) and bulk-free
     M = LX/2, reproduce the single-buffer run bit for bit."""
     model = builtin_model("d2q9")
     params = ModelParams(tau=0.8)
     init = random_state(model, GEOM.lx, GEOM.ly, 17)
     expected = _reference_final(model, params, init, 8)
-    with HeteroRuntime(model, params, DESC, GEOM,
-                       pools=PoolConfig(host_workers=host_workers)) as rt:
+    with HeteroRuntime(model, params, DESC, GEOM) as rt:
         rt.load_state(init)
         plan = make_partition(GEOM, m)
         for _ in range(8):
@@ -158,29 +157,11 @@ def test_balance_experiment_shapes():
         assert p.rel_error == (p.measured - p.predicted) / p.predicted
 
 
-def test_run_simulation_report_and_dumps():
-    cfg = _cfg(**{"lattice.lx": 24, "lattice.ly": 32, "run.iterations": 6,
-                  "hetero.m": 6, "run.dump_every": 3})
-    report, final, dumps = run_simulation(cfg)
-    assert len(report.rows) == 6
-    assert report.columns == ["iteration", "t_acc", "t_host", "t_mpi",
-                              "t_swap", "t_exe"]
-    assert "mlups" in report.metadata and "median_t_exe" in report.metadata
-    assert [it for it, _ in dumps] == [0, 3, 6]
-    assert np.array_equal(dumps[-1][1], final)
-    # same config, fresh run: deterministic final state
-    _, final2, _ = run_simulation(cfg)
-    assert np.array_equal(final, final2)
-
-
-def test_run_simulation_equals_reference():
-    cfg = _cfg(**{"lattice.lx": 24, "lattice.ly": 32, "run.iterations": 5,
-                  "hetero.m": 4})
-    model = builtin_model("d2q9")
-    init = random_state(model, 24, 32, cfg.seed)
-    _, final, _ = run_simulation(cfg)
-    expected = _reference_final(model, ModelParams(tau=cfg.tau), init, 5)
-    assert np.array_equal(final, expected)
+def test_rank_border_widths_cap_hetero_m():
+    """Without a profile every rank runs at hetero.m, capped at half of its
+    slice (the tuned widths are checked through `lbhx scale`)."""
+    cfg = _cfg(**{"lattice.lx": 48, "lattice.ly": 64, "hetero.m": 8})
+    assert rank_border_widths(cfg, [48, 24, 13]) == [8, 8, 6]
 
 
 def test_random_state_is_deterministic_and_positive():
