@@ -9,7 +9,8 @@ from lbhx.errors import ConfigurationError
 from lbhx.hetero import (HeteroRuntime, HeteroTuningRunner,
                          balance_experiment, make_partition, random_state,
                          rank_border_widths)
-from lbhx.kernels import BoundaryPolicy, run_steps
+from lbhx.kernels import (PERIODIC, WALL_BOUNCE_BACK, BoundaryPolicy,
+                          run_steps)
 from lbhx.layouts import Family, FieldBuffer, Geometry, LayoutDescriptor
 from lbhx.model import ModelParams, builtin_model
 
@@ -23,10 +24,11 @@ def _cfg(**overrides):
     return build_run_config(values)
 
 
-def _reference_final(model, params, init, steps, geom=GEOM, desc=DESC):
+def _reference_final(model, params, init, steps, geom=GEOM, desc=DESC,
+                     policy=BoundaryPolicy()):
     buf = FieldBuffer(desc, geom, model.Q)
     buf.set_canonical(init)
-    run_steps(model, params, buf, steps, BoundaryPolicy())
+    run_steps(model, params, buf, steps, policy)
     return buf.canonical("prv")
 
 
@@ -54,14 +56,17 @@ def test_device_throttle_guard():
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 12])
-def test_split_matches_reference_every_m(m):
+@pytest.mark.parametrize("y_mode", [PERIODIC, WALL_BOUNCE_BACK])
+def test_split_matches_reference_every_m(m, y_mode):
     """All widths, including M < halo (early-exchange path) and bulk-free
-    M = LX/2, reproduce the single-buffer run bit for bit."""
+    M = LX/2, reproduce the single-buffer run bit for bit, with periodic and
+    with bounce-back walls in Y."""
     model = builtin_model("d2q9")
     params = ModelParams(tau=0.8)
+    policy = BoundaryPolicy(y_mode)
     init = random_state(model, GEOM.lx, GEOM.ly, 17)
-    expected = _reference_final(model, params, init, 8)
-    with HeteroRuntime(model, params, DESC, GEOM) as rt:
+    expected = _reference_final(model, params, init, 8, policy=policy)
+    with HeteroRuntime(model, params, DESC, GEOM, policy=policy) as rt:
         rt.load_state(init)
         plan = make_partition(GEOM, m)
         for _ in range(8):
