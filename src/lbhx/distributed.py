@@ -118,10 +118,10 @@ class InMemoryTransport(Transport):
         self.fabric._queues[(self.rank, peer)].put((tag, payload))
         self.bytes_sent += len(payload)
 
-    def recv(self, peer: int, tag: int, timeout: float = IO_TIMEOUT) -> bytes:
+    def recv(self, peer: int, tag: int) -> bytes:
+        queue_in = self.fabric._queues[(peer, self.rank)]
         try:
-            got_tag, payload = self.fabric._queues[(peer, self.rank)].get(
-                timeout=timeout)
+            got_tag, payload = queue_in.get(timeout=IO_TIMEOUT)
         except queue.Empty:
             raise CommunicationFault(
                 f"rank {self.rank}: timeout waiting for rank {peer} "
@@ -157,6 +157,7 @@ class TcpTransport(Transport):
             while accepted < len(higher):
                 conn, _addr = listener.accept()
                 conn.settimeout(IO_TIMEOUT)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 peer = struct.unpack(
                     "<I", _recv_exact(conn, 4, self.rank, -1, "handshake"))[0]
                 self._socks[peer] = conn
@@ -182,6 +183,8 @@ class TcpTransport(Transport):
             try:
                 sock = socket.create_connection((host, port), timeout=2.0)
                 sock.settimeout(IO_TIMEOUT)
+                # a step's halos are back-to-back writes; Nagle delays them
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 sock.sendall(struct.pack("<I", self.rank))
                 return sock
             except OSError:

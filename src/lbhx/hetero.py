@@ -78,21 +78,9 @@ class TimestepTiming:
     t_exe: float = 0.0
 
 
-#: Collide is issued in fixed-width column tiles so the temporaries of one
-#: dispatch have a size-independent cache footprint; this keeps the measured
-#: per-site cost linear in region size, which the time model assumes.
-#: Propagate and bc make no temporaries and run once per region.
-TILE_COLUMNS = 32
-
 #: Seconds a step waits for the device queue to drain before it fails with a
 #: RuntimeFault.
 WATCHDOG_TIMEOUT = 120.0
-
-
-def _tile_columns(region: Region, tile: int = TILE_COLUMNS) -> list[Region]:
-    return [Region(x0, min(x0 + tile, region.x_end),
-                   region.y_begin, region.y_end)
-            for x0 in range(region.x_begin, region.x_end, tile)]
 
 
 class HeteroRuntime:
@@ -190,15 +178,14 @@ class HeteroRuntime:
     # -- kernel execution ----------------------------------------------------
 
     def _run_kernels(self, buf: FieldBuffer, regions: list[Region]) -> None:
-        """propagate and bc per region, then collide per column tile, each
-        kernel over every region before the next starts."""
+        """propagate, bc and collide, each kernel over every region before
+        the next starts; collide blocks each region itself."""
         for region in regions:
             propagate_region(self.model, buf, region)
         for region in regions:
             apply_bc(self.model, buf, self.policy, region)
         for region in regions:
-            for tile in _tile_columns(region):
-                collide_region(self.model, self.params, buf, tile)
+            collide_region(self.model, self.params, buf, region)
 
     def _device_compute(self, plan: PartitionPlan) -> float:
         """Bulk kernels on the device buffer; returns the thread CPU time.

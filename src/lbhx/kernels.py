@@ -140,7 +140,7 @@ def propagate_region(model: LatticeModel, buf: FieldBuffer,
 def _density_momentum(model: LatticeModel, f: np.ndarray):
     """rho, jx, jy of a (Q, ...) array, accumulated site by site in
     population order; f_p is added or subtracted where |c| = 1."""
-    rho, jx, jy = (np.zeros(f.shape[1:]) for _ in range(3))
+    rho, jx, jy, kf = (np.zeros(f.shape[1:]) for _ in range(4))
     for p, c in enumerate(model.velocities):
         rho += f[p]
         for j, k in zip((jx, jy), c):
@@ -149,7 +149,7 @@ def _density_momentum(model: LatticeModel, f: np.ndarray):
             elif k == -1:
                 j -= f[p]
             elif k:
-                j += k * f[p]
+                j += np.multiply(k, f[p], out=kf)
     return rho, jx, jy
 
 
@@ -169,18 +169,25 @@ def _relax(model: LatticeModel, f: np.ndarray, rho: np.ndarray,
     inv_rho = 1.0 / rho
     a = rho - (jx * jx + jy * jy) * inv_rho * (0.5 / cs2)
     g = inv_rho * (0.5 / (cs2 * cs2))
+    hmax = max(q - p for p, q in enumerate(model.opposite))
+    t_buf, even_buf, sum_buf = np.empty((3, hmax) + np.shape(rho))
     np.multiply(f, 1.0 - omega, out=out)
     p = 0
     while p < model.Q:
         q = model.opposite[p]
         h, w = max(q - p, 1), model.weights[p] * omega
         c = model.c[p:p + h].reshape((h, 2) + (1,) * rho.ndim)
-        t = c[:, 0] * jx + c[:, 1] * jy
-        even = (t * t * g + a) * w
+        t, even, tmp = t_buf[:h], even_buf[:h], sum_buf[:h]
+        np.multiply(c[:, 0], jx, out=t)
+        t += np.multiply(c[:, 1], jy, out=tmp)
+        np.multiply(t, t, out=even)
+        even *= g
+        even += a
+        even *= w
         t *= w / cs2
-        out[p:p + h] += even + t
+        out[p:p + h] += np.add(even, t, out=tmp)
         if q != p:
-            out[q:q + h] += even - t
+            out[q:q + h] += np.subtract(even, t, out=tmp)
         p = q + h
 
 
@@ -215,19 +222,35 @@ def equilibrium(model: LatticeModel, m: Macroscopics) -> np.ndarray:
     return feq
 
 
+#: Collide runs in blocks of about this many sites, so the temporaries of one
+#: block have a size-independent cache footprint; this keeps the measured
+#: per-site cost linear in region size, which the time model assumes.  Rank
+#: threads share the interpreter lock, so smaller blocks add lock hand-offs.
+BLOCK_SITES = 16384
+
+
 def collide_region(model: LatticeModel, params: ModelParams, buf: FieldBuffer,
                    region: Region, src: str = "nxt", dst: str = "prv") -> None:
     """Site-local BGK relaxation: out = (1 - omega) in + omega f_eq(in),
     omega = 1/tau, computed from rho and j without forming u or T; reads the
-    src view and writes the dst view in place."""
+    src view and writes the dst view in place, about BLOCK_SITES sites at a
+    time.  A block whose population slabs are not contiguous is copied,
+    relaxed in place and written back."""
     _check_region(buf, region)
     fin, fout = buf.view(src), buf.view(dst)
-    xs = slice(region.x_begin, region.x_end)
-    for a_span, b_span in _row_blocks(region, fin.shape[3]):
-        f = fin[:, xs, a_span, b_span]
-        rho, jx, jy = _density_momentum(model, f)
-        _relax(model, f, rho, jx, jy, 1.0 / params.tau,
-               out=fout[:, xs, a_span, b_span])
+    width = max(1, BLOCK_SITES // region.rows)
+    for x0 in range(region.x_begin, region.x_end, width):
+        xs = slice(x0, min(x0 + width, region.x_end))
+        for a_span, b_span in _row_blocks(region, fin.shape[3]):
+            f, out = fin[:, xs, a_span, b_span], fout[:, xs, a_span, b_span]
+            staged = not f[0].flags.c_contiguous
+            if staged:
+                f = np.ascontiguousarray(f)
+            rho, jx, jy = _density_momentum(model, f)
+            _relax(model, f, rho, jx, jy, 1.0 / params.tau,
+                   out=f if staged else out)
+            if staged:
+                out[...] = f
 
 
 def apply_bc(model: LatticeModel, buf: FieldBuffer, policy: BoundaryPolicy,

@@ -162,6 +162,41 @@ def test_tcp_endpoint_in_use_names_rank():
         taken.close()
 
 
+def test_tcp_links_disable_nagle():
+    """Both ends of every link set TCP_NODELAY, so a step's back-to-back
+    halo writes to one peer are not held for a delayed ACK."""
+    import socket
+    import lbhx.distributed as D
+    transports = D._tcp_rendezvous(decompose_x(24, 3))
+    try:
+        for t in transports:
+            assert len(t._socks) == 2
+            for sock in t._socks.values():
+                assert sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY) != 0
+    finally:
+        for t in transports:
+            t.close()
+
+
+def test_in_memory_io_deadline_names_rank_peer_and_phase(monkeypatch):
+    """The in-memory receive reads IO_TIMEOUT when called, like TCP; a peer
+    that never sends makes recv fail with a CommunicationFault."""
+    import time
+    import lbhx.distributed as D
+    monkeypatch.setattr(D, "IO_TIMEOUT", 0.2)
+    fabric = InMemoryFabric(2)
+    for rank in (0, 1):
+        t0 = time.monotonic()
+        with pytest.raises(CommunicationFault) as err:
+            fabric.transport(rank).recv(1 - rank, D.TAG_TO_RIGHT)
+        assert time.monotonic() - t0 < 10.0
+        msg = str(err.value)
+        assert f"rank {rank}:" in msg
+        assert f"waiting for rank {1 - rank}" in msg
+        assert "phase: halo recv of tag 1" in msg
+
+
 def test_tcp_io_deadline_names_rank_peer_and_phase(monkeypatch):
     """Both ends of a link carry the same I/O deadline; a peer that never
     sends makes recv fail with a CommunicationFault instead of hanging."""
