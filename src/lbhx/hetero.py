@@ -12,6 +12,11 @@ borders live in the host buffer.  Each step:
   4. barrier, then the H columns adjacent to each bulk boundary are swapped
      between the two buffers in both directions.
 
+Each track runs the fused kernel on its regions and then flips its buffer's
+arenas, so step 4 and the next exchange write the new prv.  The columns a
+track does not compute are scratch, which a change of plan first overwrites
+with each buffer's state.
+
 When M < H the bulk stencil reaches into the rank halo columns, so those are
 additionally pushed host->device right after the exchange, before the device
 kernels launch.  The end state is bit-identical for every legal M and
@@ -26,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, RuntimeFault
-from .kernels import (BoundaryPolicy, Region, apply_bc, collide_region,
-                      interior_region, propagate_region)
+from .errors import ConfigurationError, RuntimeFault, TuningError
+from .kernels import BoundaryPolicy, Region, stream_collide_region
 from .layouts import FieldBuffer, Geometry, LayoutDescriptor
 from .model import LatticeModel, ModelParams
 
@@ -108,6 +112,7 @@ class HeteroRuntime:
         self.host_buf = FieldBuffer(desc, geom, model.Q)
         self.device_buf = FieldBuffer(desc, geom, model.Q)
         self.rank_exchange = rank_exchange or self._periodic_exchange
+        self._plan: PartitionPlan | None = None
         # single dispatcher thread = the accelerator's ordered logical queue
         self._device_queue = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="lbhx-device")
@@ -178,14 +183,12 @@ class HeteroRuntime:
     # -- kernel execution ----------------------------------------------------
 
     def _run_kernels(self, buf: FieldBuffer, regions: list[Region]) -> None:
-        """propagate, bc and collide, each kernel over every region before
-        the next starts; collide blocks each region itself."""
+        """The fused step on every region, then one arena flip, so the new
+        state is in prv; callers pass at least one region."""
         for region in regions:
-            propagate_region(self.model, buf, region)
-        for region in regions:
-            apply_bc(self.model, buf, self.policy, region)
-        for region in regions:
-            collide_region(self.model, self.params, buf, region)
+            stream_collide_region(self.model, self.params, buf, region,
+                                  self.policy)
+        buf.swap()
 
     def _device_compute(self, plan: PartitionPlan) -> float:
         """Bulk kernels on the device buffer; returns the thread CPU time.
@@ -220,6 +223,12 @@ class HeteroRuntime:
         measured wall time stays faithful to max(t_acc, t_host + t_mpi) +
         t_swap even when both phases share cores.
         """
+        if self._plan is not None and plan != self._plan:
+            # a plan leaves the columns it does not compute stale in the
+            # scratch arena; another plan's stencil may read them after a flip
+            for buf in (self.host_buf, self.device_buf):
+                np.copyto(buf.nxt, buf.prv)
+        self._plan = plan
         timing = TimestepTiming()
         t_begin = time.perf_counter()
         h = self.geom.halo
@@ -264,6 +273,10 @@ class HeteroRuntime:
 
 # -- auto-tuning harness -----------------------------------------------------
 
+#: Least duration, in seconds of the sample's clock, of one compute sample.
+SAMPLE_FLOOR = 2e-3
+
+
 class HeteroTuningRunner:
     """perf_model.TuningRunner backed by a live runtime's host thread and
     device queue.
@@ -285,6 +298,7 @@ class HeteroTuningRunner:
         self._scratch = FieldBuffer(runtime.host_buf.desc, g, runtime.model.Q)
         rng = np.random.default_rng(1234)
         self._scratch.prv[:] = 0.5 + 0.01 * rng.random(self._scratch.size)
+        self._scratch.nxt[:] = self._scratch.prv  # each step flips the arenas
         self._plan = make_partition(g, min(g.halo, g.lx // 2))
 
     def _region(self, width: int) -> Region:
@@ -295,13 +309,20 @@ class HeteroTuningRunner:
         return [w * self.rt.geom.ly for w in self.widths]
 
     def time_compute(self, pool: str, sites: int) -> float:
+        """Seconds per kernel step on `sites` sites: the step repeats until
+        the sample lasts SAMPLE_FLOOR, so that timer resolution and per-call
+        jitter are a small share of every sample."""
         region = self._region(sites // self.rt.geom.ly)
         rt = self.rt
 
         def body(clock) -> float:
-            t0 = clock()
-            rt._run_kernels(self._scratch, [region])
-            return clock() - t0
+            calls, t0 = 0, clock()
+            while True:
+                rt._run_kernels(self._scratch, [region])
+                calls += 1
+                elapsed = clock() - t0
+                if elapsed >= SAMPLE_FLOOR:
+                    return elapsed / calls
 
         if pool == "host":
             return body(time.perf_counter)
@@ -389,9 +410,13 @@ def balance_experiment(runtime: HeteroRuntime, widths: list[int],
             samples[key].append(sample(*key))
 
     best = {key: sum(sorted(vals)[:3]) / 3 for key, vals in samples.items()}
+    slopes = {pool: _fit_slope(sizes, [best[(pool, s)] for s in sizes])
+              for pool in ("device", "host")}
+    for pool, slope in slopes.items():
+        if slope <= 0:
+            raise TuningError(f"{pool} pool: non-positive fitted slope {slope}")
     profile = PerfProfile(
-        tau_d=_fit_slope(sizes, [best[("device", s)] for s in sizes]),
-        tau_h=_fit_slope(sizes, [best[("host", s)] for s in sizes]),
+        tau_d=slopes["device"], tau_h=slopes["host"],
         tau_c=max(best[("comm", None)], 0.0),
         t_swap=max(best[("swap", None)], 0.0),
         meta=(("source", "balance_experiment"),))

@@ -4,8 +4,12 @@ All kernels operate on a rectangular Region of allocation coordinates and are
 site-local (collide, bc) or pure copies (propagate), so any disjoint
 partition of a region produces bit-identical results.  They run on the
 strided (Q, alloc_LX, A, B) views of FieldBuffer.view, with y = a * B + b.
-Buffer roles are fixed: `prv` holds the state, `nxt` is scratch; a full step
-runs propagate(prv->nxt), apply_bc(nxt), collide(nxt->prv).
+
+`prv` holds the state and `nxt` is scratch.  A step runs the fused
+stream_collide_region(prv -> nxt) on each region, then FieldBuffer.swap, so
+the new state is in prv; outside the regions the new prv holds scratch.  The
+separate propagate(prv -> nxt), apply_bc(nxt) and collide(nxt -> prv) share
+its helpers and are its reference.
 
 The collide calls no BLAS routine.  Every reduction over populations is an
 elementwise accumulation in a fixed population order, so a site's result does
@@ -79,17 +83,19 @@ class BoundaryPolicy:
             raise ConfigurationError(f"unknown y boundary mode {self.y_mode!r}")
 
 
-def _check_region(buf: FieldBuffer, region: Region) -> None:
+def _check_region(buf: FieldBuffer, region: Region, reach: int = 0) -> None:
     g = buf.geom
-    if region.x_begin < 0 or region.x_end > g.alloc_lx:
-        raise ContractViolation(f"region columns {region} exceed allocation")
+    if region.x_begin - reach < 0 or region.x_end + reach > g.alloc_lx:
+        raise ContractViolation(f"region {region} with reach {reach} "
+                                "exceeds the allocation")
     if region.y_begin < 0 or region.y_end > g.ly:
         raise ContractViolation(f"region rows {region} exceed [0, {g.ly})")
 
 
 def _row_blocks(region: Region, n_b: int) -> list[tuple[slice, slice]]:
     """Rows [y_begin, y_end) as at most three (a, b) rectangles of
-    y = a * B + b with B = n_b: a head row, whole middle rows, a tail row."""
+    y = a * B + b with B = n_b: a head row, whole middle rows, a tail row.
+    Each rectangle is one run of consecutive rows."""
     a0, b0 = divmod(region.y_begin, n_b)
     a1, b1 = divmod(region.y_end, n_b)
     if a0 == a1:
@@ -105,36 +111,68 @@ def _row_blocks(region: Region, n_b: int) -> list[tuple[slice, slice]]:
     return blocks
 
 
-def propagate_region(model: LatticeModel, buf: FieldBuffer,
-                     region: Region) -> None:
-    """Pull-scheme streaming: nxt_l(x, y) = prv_l(x - cx, (y - cy) mod LY).
+# A block is (xs, a_span, b_span): columns crossed with one _row_blocks
+# rectangle of the (Q, alx, A, B) views.  The helpers below write a block
+# into `out`, an array indexed from the block's corner.
+
+def _pull(prv: np.ndarray, p: int, c: tuple[int, int], block,
+          out: np.ndarray) -> None:
+    """out <- population p of prv pulled along c = (cx, cy) into block.
 
     With cy = qa * B + rb (0 <= rb < B), row (a, b) pulls from a-row a - qa
     at b - rb where b >= rb, and from a-row a - qa - 1 at b - rb + B where
-    b < rb, a taken mod A: each population is at most four slice copies
-    per row block.  X sources land in the halo columns, which the caller
-    must keep current.
+    b < rb, a taken mod A: at most four slice copies.
     """
-    _check_region(buf, region)
-    if region.x_begin - model.R < 0 or region.x_end + model.R > buf.geom.alloc_lx:
-        raise ContractViolation("region too close to allocation edge for stencil")
+    (cx, cy), (xs, a_span, b_span) = c, block
+    n_a, n_b = prv.shape[2:]
+    src = prv[p, xs.start - cx:xs.stop - cx]
+    a0, b0 = a_span.start, b_span.start
+    qa, rb = divmod(cy, n_b)
+    for da, db, b_lo, b_hi in (
+            (qa, -rb, max(b0, rb), b_span.stop),
+            (qa + 1, n_b - rb, b0, min(b_span.stop, rb))):
+        a = a0
+        while a < a_span.stop and b_lo < b_hi:  # a wraps at most once
+            sa = (a - da) % n_a
+            n = min(a_span.stop - a, n_a - sa)
+            out[:, a - a0:a - a0 + n, b_lo - b0:b_hi - b0] = \
+                src[:, sa:sa + n, b_lo + db:b_hi + db]
+            a += n
+
+
+def _bounce_back(model: LatticeModel, prv: np.ndarray, block,
+                 out: np.ndarray) -> None:
+    """Link-wise bounce-back in block: every population whose pull source
+    lies outside [0, LY) takes the opposite population at the same site
+    from prv."""
+    xs, a_span, b_span = block
+    n_b = prv.shape[3]
+    ly = prv.shape[2] * n_b
+    a0, b0 = a_span.start, b_span.start
+    y0, y1 = a0 * n_b + b0, (a_span.stop - 1) * n_b + b_span.stop
+    for p, (_cx, cy) in enumerate(model.velocities):
+        if cy > 0:
+            rows = range(y0, min(y1, cy))
+        elif cy < 0:
+            rows = range(max(y0, ly + cy), y1)
+        else:
+            continue
+        for y in rows:
+            a, b = divmod(y, n_b)
+            out[p, :, a - a0, b - b0] = prv[model.opposite[p], xs, a, b]
+
+
+def propagate_region(model: LatticeModel, buf: FieldBuffer,
+                     region: Region) -> None:
+    """Pull-scheme streaming: nxt_l(x, y) = prv_l(x - cx, (y - cy) mod LY).
+    X sources land in the halo columns, which the caller must keep current.
+    """
+    _check_region(buf, region, model.R)
     prv, nxt = buf.view("prv"), buf.view("nxt")
-    n_a, n_b = nxt.shape[2:]
-    x0, x1 = region.x_begin, region.x_end
-    for p, (cx, cy) in enumerate(model.velocities):
-        src, dst = prv[p, x0 - cx:x1 - cx], nxt[p, x0:x1]
-        qa, rb = divmod(cy, n_b)
-        for a_span, b_span in _row_blocks(region, n_b):
-            for da, db, b_lo, b_hi in (
-                    (qa, -rb, max(b_span.start, rb), b_span.stop),
-                    (qa + 1, n_b - rb, b_span.start, min(b_span.stop, rb))):
-                a = a_span.start
-                while a < a_span.stop and b_lo < b_hi:  # a wraps at most once
-                    sa = (a - da) % n_a
-                    n = min(a_span.stop - a, n_a - sa)
-                    dst[:, a:a + n, b_lo:b_hi] = \
-                        src[:, sa:sa + n, b_lo + db:b_hi + db]
-                    a += n
+    xs = slice(region.x_begin, region.x_end)
+    for a_span, b_span in _row_blocks(region, nxt.shape[3]):
+        for p, c in enumerate(model.velocities):
+            _pull(prv, p, c, (xs, a_span, b_span), nxt[p, xs, a_span, b_span])
 
 
 def _density_momentum(model: LatticeModel, f: np.ndarray):
@@ -222,35 +260,57 @@ def equilibrium(model: LatticeModel, m: Macroscopics) -> np.ndarray:
     return feq
 
 
-#: Collide runs in blocks of about this many sites, so the temporaries of one
-#: block have a size-independent cache footprint; this keeps the measured
-#: per-site cost linear in region size, which the time model assumes.  Rank
-#: threads share the interpreter lock, so smaller blocks add lock hand-offs.
+#: Collide and the fused step run in blocks of about this many sites, so the
+#: temporaries of one block have a size-independent cache footprint; this
+#: keeps the measured per-site cost linear in region size, which the time
+#: model assumes.  Rank threads share the interpreter lock, so smaller blocks
+#: add lock hand-offs.
 BLOCK_SITES = 16384
+
+
+def _relax_blocks(model: LatticeModel, params: ModelParams, region: Region,
+                  dst: np.ndarray, load) -> None:
+    """Relax region into the view dst in blocks of about BLOCK_SITES sites:
+    BLOCK_SITES // rows columns crossed with each row rectangle.
+
+    load(block, f) returns the block's pre-collide populations; f is where
+    the block is relaxed: dst's block itself if its population slabs are
+    contiguous, else one staging array per call, then stored in dst.
+    """
+    width = max(1, BLOCK_SITES // region.rows)
+    stage = None
+    for x0 in range(region.x_begin, region.x_end, width):
+        xs = slice(x0, min(x0 + width, region.x_end))
+        for a_span, b_span in _row_blocks(region, dst.shape[3]):
+            out = f = dst[:, xs, a_span, b_span]
+            if not out[0].flags.c_contiguous:
+                if stage is None:
+                    stage = np.empty(model.Q * region.rows
+                                     * min(width, region.columns))
+                f = stage[:out.size].reshape(out.shape)
+            fin = load((xs, a_span, b_span), f)
+            rho, jx, jy = _density_momentum(model, fin)
+            _relax(model, fin, rho, jx, jy, 1.0 / params.tau, out=f)
+            if f is not out:
+                out[...] = f
 
 
 def collide_region(model: LatticeModel, params: ModelParams, buf: FieldBuffer,
                    region: Region, src: str = "nxt", dst: str = "prv") -> None:
     """Site-local BGK relaxation: out = (1 - omega) in + omega f_eq(in),
     omega = 1/tau, computed from rho and j without forming u or T; reads the
-    src view and writes the dst view in place, about BLOCK_SITES sites at a
-    time.  A block whose population slabs are not contiguous is copied,
-    relaxed in place and written back."""
+    src view and writes the dst view, relaxing a staged block in place."""
     _check_region(buf, region)
-    fin, fout = buf.view(src), buf.view(dst)
-    width = max(1, BLOCK_SITES // region.rows)
-    for x0 in range(region.x_begin, region.x_end, width):
-        xs = slice(x0, min(x0 + width, region.x_end))
-        for a_span, b_span in _row_blocks(region, fin.shape[3]):
-            f, out = fin[:, xs, a_span, b_span], fout[:, xs, a_span, b_span]
-            staged = not f[0].flags.c_contiguous
-            if staged:
-                f = np.ascontiguousarray(f)
-            rho, jx, jy = _density_momentum(model, f)
-            _relax(model, f, rho, jx, jy, 1.0 / params.tau,
-                   out=f if staged else out)
-            if staged:
-                out[...] = f
+    fin = buf.view(src)
+
+    def load(block, f):
+        block_in = fin[(slice(None),) + block]
+        if block_in[0].flags.c_contiguous:
+            return block_in
+        f[...] = block_in
+        return f
+
+    _relax_blocks(model, params, region, buf.view(dst), load)
 
 
 def apply_bc(model: LatticeModel, buf: FieldBuffer, policy: BoundaryPolicy,
@@ -270,25 +330,39 @@ def apply_bc(model: LatticeModel, buf: FieldBuffer, policy: BoundaryPolicy,
     _check_region(buf, region)
     prv, nxt = buf.view("prv"), buf.view("nxt")
     xs = slice(region.x_begin, region.x_end)
-    ly = buf.geom.ly
-    for p, (_cx, cy) in enumerate(model.velocities):
-        if cy > 0:
-            rows = range(max(region.y_begin, 0), min(region.y_end, cy))
-        elif cy < 0:
-            rows = range(max(region.y_begin, ly + cy), min(region.y_end, ly))
-        else:
-            continue
-        for y in rows:
-            a, b = divmod(y, nxt.shape[3])
-            nxt[p, xs, a, b] = prv[model.opposite[p], xs, a, b]
+    for a_span, b_span in _row_blocks(region, nxt.shape[3]):
+        _bounce_back(model, prv, (xs, a_span, b_span),
+                     nxt[:, xs, a_span, b_span])
+
+
+def stream_collide_region(model: LatticeModel, params: ModelParams,
+                          buf: FieldBuffer, region: Region,
+                          policy: BoundaryPolicy) -> None:
+    """propagate, apply_bc and collide in one pass: each block is pulled
+    from prv, bounced back from prv at the walls, relaxed in place and
+    stored in nxt once.  prv is only read, nxt is written only inside
+    region, and the values and ufunc sequence are those of the separate
+    kernels, so the result is bit-identical to them."""
+    _check_region(buf, region, model.R)
+    prv = buf.view("prv")
+    walls = policy.y_mode == WALL_BOUNCE_BACK
+
+    def load(block, f):
+        for p, c in enumerate(model.velocities):
+            _pull(prv, p, c, block, f[p])
+        if walls:
+            _bounce_back(model, prv, block, f)
+        return f
+
+    _relax_blocks(model, params, region, buf.view("nxt"), load)
 
 
 def step_region(model: LatticeModel, params: ModelParams, buf: FieldBuffer,
                 region: Region, policy: BoundaryPolicy) -> None:
-    """One full update on a region: propagate, bc, collide; state ends in prv."""
-    propagate_region(model, buf, region)
-    apply_bc(model, buf, policy, region)
-    collide_region(model, params, buf, region)
+    """One full update on a region: the fused step, then the arena flip;
+    state ends in prv.  Outside region the new prv holds scratch."""
+    stream_collide_region(model, params, buf, region, policy)
+    buf.swap()
 
 
 def update_x_halos_periodic(buf: FieldBuffer, role: str = "prv") -> None:

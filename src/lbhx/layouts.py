@@ -183,6 +183,10 @@ class FieldBuffer:
     def size(self) -> int:
         return self.prv.size
 
+    def swap(self) -> None:
+        """Flip the arena roles: the scratch arena becomes the state."""
+        self.prv, self.nxt = self.nxt, self.prv
+
     def arena(self, role: str) -> np.ndarray:
         if role == "prv":
             return self.prv

@@ -4,8 +4,9 @@ the choice of each rank's border width."""
 import numpy as np
 import pytest
 
+from lbhx import hetero, perf_model
 from lbhx.config import DEFAULTS, build_run_config
-from lbhx.errors import ConfigurationError
+from lbhx.errors import ConfigurationError, TuningError
 from lbhx.hetero import (HeteroRuntime, HeteroTuningRunner,
                          balance_experiment, make_partition, random_state,
                          rank_border_widths)
@@ -111,6 +112,20 @@ def test_timing_fields_populated():
     assert timing.t_exe >= max(timing.t_acc, timing.t_host)
 
 
+def test_plan_changes_keep_the_state_finite():
+    """A plan leaves the columns it does not compute stale in the scratch
+    arena; switching M on one runtime must not bring them into a stencil."""
+    model = builtin_model("d2q9")
+    with HeteroRuntime(model, ModelParams(tau=0.8), DESC, GEOM) as rt:
+        rt.load_state(random_state(model, GEOM.lx, GEOM.ly, 5))
+        with np.errstate(all="raise"):
+            for _ in range(3):
+                for m in (0, 6, 12, 3):
+                    plan = make_partition(GEOM, m)
+                    rt.run_timestep(plan)
+                    assert np.isfinite(rt.state(plan)).all(), m
+
+
 def test_halo_narrower_than_stencil_rejected():
     model = builtin_model("d2q37")  # reach 3
     with pytest.raises(ConfigurationError):
@@ -133,6 +148,32 @@ def test_tuning_runner_surfaces():
             runner.time_compute("gpu", sizes[0])
         with pytest.raises(ConfigurationError):
             HeteroTuningRunner(rt, widths=[GEOM.lx + 1])
+
+
+@pytest.mark.parametrize("pool", ["host", "device"])
+def test_compute_samples_last_the_floor(monkeypatch, pool):
+    monkeypatch.setattr(hetero, "SAMPLE_FLOOR", 0.02)
+    model = builtin_model("d2q9")
+    with HeteroRuntime(model, ModelParams(tau=0.8), DESC, GEOM) as rt:
+        rt.load_state(random_state(model, GEOM.lx, GEOM.ly, 2))
+        runner = HeteroTuningRunner(rt)
+        calls = []
+        run_kernels = rt._run_kernels
+        monkeypatch.setattr(rt, "_run_kernels",
+                            lambda *a: calls.append(run_kernels(*a)))
+        per_call = runner.time_compute(pool, runner.compute_sizes(pool)[0])
+    assert len(calls) >= 2
+    assert per_call * len(calls) >= 0.02 * (1 - 1e-9)
+
+
+def test_balance_experiment_rejects_a_non_positive_slope(monkeypatch):
+    monkeypatch.setattr(perf_model, "_fit_slope", lambda sites, times: -1e-8)
+    model = builtin_model("d2q9")
+    with HeteroRuntime(model, ModelParams(tau=0.8), DESC, GEOM) as rt:
+        rt.load_state(random_state(model, GEOM.lx, GEOM.ly, 4))
+        with pytest.raises(TuningError, match="non-positive fitted slope"):
+            balance_experiment(rt, widths=[6, 12, 18], m_points=[0, 6],
+                               warmup=0, rounds=1)
 
 
 def test_tuning_leaves_state_untouched():

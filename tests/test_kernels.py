@@ -298,6 +298,9 @@ def test_cross_layout_agreement(policy):
 
 
 def test_step_region_composes_all_three_kernels():
+    """step_region is the fused step plus an arena flip: its interior equals
+    propagate -> apply_bc -> collide, and the old prv arena is only read.
+    The halo columns of the swapped-in arena are scratch."""
     model = builtin_model("d2q9")
     params = ModelParams(tau=0.8)
     geom = Geometry(8, 8, halo=3)
@@ -306,9 +309,45 @@ def test_step_region_composes_all_three_kernels():
     b, _ = _random_buf(model, LayoutDescriptor(Family.SOA), geom, 13)
     region = interior_region(geom)
     update_x_halos_periodic(a)
+    old_prv, before = a.prv, a.prv.copy()
     step_region(model, params, a, region, policy)
     update_x_halos_periodic(b)
     propagate_region(model, b, region)
     apply_bc(model, b, policy, region)
     collide_region(model, params, b, region)
-    assert np.array_equal(a.prv, b.prv)
+    assert np.array_equal(a.canonical(), b.canonical())
+    assert a.nxt is old_prv and np.array_equal(old_prv, before)
+
+
+@pytest.mark.parametrize("block_sites", [1, 7, BLOCK_LY - 1, 3 * BLOCK_LY])
+@pytest.mark.parametrize("name", ["d2q9", "d2q37"])
+def test_fused_step_is_bit_identical_to_separate_kernels(monkeypatch, name,
+                                                         block_sites):
+    """stream_collide_region equals propagate -> apply_bc -> collide bit for
+    bit on every layout and Y boundary, over full-height and partial row
+    ranges, with one-column, partial and staged blocks, and leaves prv
+    untouched."""
+    model = builtin_model(name)
+    params = ModelParams(tau=0.7)
+    geom = Geometry(14, BLOCK_LY, halo=3)  # interior columns 3..16
+    regions = [interior_region(geom), Region(4, 15, 3, 13),
+               Region(4, 15, 6, 9)]
+    monkeypatch.setattr(kernels, "BLOCK_SITES", block_sites)
+    for y_mode in (PERIODIC, WALL_BOUNCE_BACK):
+        policy = BoundaryPolicy(y_mode)
+        for desc in ALL_DESCRIPTORS:
+            for region in regions:
+                ref, _ = _random_buf(model, desc, geom, seed=25)
+                fused, _ = _random_buf(model, desc, geom, seed=25)
+                for buf in (ref, fused):
+                    update_x_halos_periodic(buf)
+                    buf.nxt[:] = -1.0
+                before = fused.prv.copy()
+                propagate_region(model, ref, region)
+                apply_bc(model, ref, policy, region)
+                collide_region(model, params, ref, region, "nxt", "nxt")
+                kernels.stream_collide_region(model, params, fused, region,
+                                              policy)
+                case = (y_mode, desc, region)
+                assert np.array_equal(fused.nxt, ref.nxt), case
+                assert np.array_equal(fused.prv, before), case
