@@ -8,20 +8,29 @@ framed as (tag u32, length u64, payload); they are always sourced from
 host-resident buffers.
 
 Two transports ship: in-process queues (tests, single-process runs) and TCP
-sockets (multi-process capable, rendezvous via a host:port list).
+sockets (rendezvous via a host:port list).  `run_distributed` runs rank 0 on
+the calling thread; over TCP the other ranks are processes forked from it,
+each with its own interpreter lock, and over the in-process queues they are
+threads.
 """
 from __future__ import annotations
 
+import math
+import mmap
+import os
+import pickle
 import queue
+import resource
 import socket
 import struct
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .errors import CommunicationFault, ConfigurationError
+from .errors import CommunicationFault, ConfigurationError, PeerClosedFault
 from .layouts import FieldBuffer
 
 _HEADER = struct.Struct("<IQ")
@@ -121,17 +130,29 @@ class InMemoryTransport(Transport):
     def recv(self, peer: int, tag: int) -> bytes:
         queue_in = self.fabric._queues[(peer, self.rank)]
         try:
-            got_tag, payload = queue_in.get(timeout=IO_TIMEOUT)
+            frame = queue_in.get(timeout=IO_TIMEOUT)
         except queue.Empty:
             raise CommunicationFault(
                 f"rank {self.rank}: timeout waiting for rank {peer} "
                 f"(phase: halo recv of tag {tag})") from None
+        if frame is None:
+            raise PeerClosedFault(
+                f"rank {self.rank}: rank {peer} closed its link "
+                f"(phase: halo recv of tag {tag})")
+        got_tag, payload = frame
         if got_tag != tag:
             raise CommunicationFault(
                 f"rank {self.rank}: tag mismatch from rank {peer} "
                 f"(expected {tag}, got {got_tag})")
         self.bytes_received += len(payload)
         return payload
+
+    def close(self) -> None:
+        """Queue an end-of-stream after the frames already sent, as closing
+        a socket does."""
+        for (src, _dst), queue_out in self.fabric._queues.items():
+            if src == self.rank:
+                queue_out.put(None)
 
 
 class TcpTransport(Transport):
@@ -197,7 +218,7 @@ class TcpTransport(Transport):
         try:
             self._socks[peer].sendall(_HEADER.pack(tag, len(payload)) + payload)
         except OSError as exc:
-            raise CommunicationFault(
+            raise _link_fault(exc)(
                 f"rank {self.rank}: send of tag {tag} to rank {peer} failed "
                 f"(phase: halo send): {exc}") from None
         self.bytes_sent += len(payload)
@@ -234,17 +255,25 @@ def _recv_exact(sock: socket.socket, count: int, rank: int, peer: int,
         try:
             chunk = sock.recv(remaining)
         except OSError as exc:
-            raise CommunicationFault(
+            raise _link_fault(exc)(
                 f"rank {rank}: receive from rank {peer} failed after "
                 f"{count - remaining}/{count} bytes (phase: {phase}): "
                 f"{exc}") from None
         if not chunk:
-            raise CommunicationFault(
+            raise PeerClosedFault(
                 f"rank {rank}: short read from rank {peer} "
                 f"({count - remaining}/{count} bytes, phase: {phase})")
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
+
+
+def _link_fault(exc: OSError) -> type[CommunicationFault]:
+    """A reset or broken link means the peer closed it; anything else, a
+    timeout included, is this link's own fault."""
+    if isinstance(exc, ConnectionError):
+        return PeerClosedFault
+    return CommunicationFault
 
 
 # -- halo exchange -----------------------------------------------------------
@@ -307,39 +336,153 @@ def exchange_rank_halos(buf: FieldBuffer, layout: RankLayout,
 @dataclass
 class RankResult:
     layout: RankLayout
-    final: np.ndarray
+    final: np.ndarray | None = None
     iteration_times: list[float] = field(default_factory=list)
     bytes_sent: int = 0
     bytes_received: int = 0
     m: int = 0
+    #: peak resident set of the process that ran the rank
+    peak_rss_mb: float = 0.0
 
 
 def _rank_body(cfg, layout: RankLayout, m: int, transport: Transport,
-               initial_slice: np.ndarray, result_slot: list,
-               start_barrier: threading.Barrier) -> None:
+               initial_slice: np.ndarray, final_out: np.ndarray) -> RankResult:
+    """Run one rank and write its final canonical state into `final_out`."""
     from .hetero import make_partition, runtime_from_config
 
     def exchanger(buf: FieldBuffer) -> None:
         exchange_rank_halos(buf, layout, transport)
 
+    res = RankResult(layout=layout, m=m)
     try:
+        # load_state's exchange is the first to pair each rank with its
+        # neighbours, so no start barrier is needed
         with runtime_from_config(replace(cfg, lx=layout.width),
                                  rank_exchange=exchanger) as rt:
-            start_barrier.wait(timeout=60)
             rt.load_state(initial_slice)
             plan = make_partition(rt.geom, m)
             transport.reset_counters()
-            res = RankResult(layout=layout, final=None, m=m)
             for _ in range(cfg.iterations):
                 res.iteration_times.append(rt.run_timestep(plan).t_exe)
-            res.final = rt.state(plan)
-            res.bytes_sent = transport.bytes_sent
-            res.bytes_received = transport.bytes_received
-            result_slot[0] = res
-    except BaseException as exc:  # surfaced by run_distributed with rank id
-        result_slot[0] = exc
+            final_out[...] = rt.state(plan)
     finally:
         transport.close()
+    res.bytes_sent = transport.bytes_sent
+    res.bytes_received = transport.bytes_received
+    res.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return res
+
+
+def _outcome(run) -> RankResult | tuple:
+    """`run()`'s RankResult, or its error as (type name, message, error).
+
+    An interrupt is not an outcome: it propagates, and in a forked rank it
+    ends the process with status 1.
+    """
+    try:
+        return run()
+    except Exception as exc:  # surfaced by run_distributed with the rank
+        return type(exc).__name__, str(exc), exc
+
+
+def _fork_rank(run, own: Transport,
+               transports: list[Transport]) -> tuple[int, int]:
+    """Run `run` in a forked child; returns (pid, read end of its pipe).
+
+    The child keeps only its own rank's links.  It pickles its RankResult,
+    or its error as (type name, message), into the pipe and always leaves
+    through os._exit, so none of the caller's clean-up runs in it.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        for transport in transports:
+            if transport is not own:
+                transport.close()
+        outcome = _outcome(run)
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(outcome if isinstance(outcome, RankResult)
+                        else outcome[:2], pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(rank: int, pid: int, read_fd: int) -> RankResult | tuple:
+    """Read a forked rank's outcome to the end of its pipe and wait for it."""
+    with open(read_fd, "rb") as pipe:
+        data = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    try:
+        outcome = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):  # no outcome, or a cut one
+        return ("CommunicationFault",
+                f"rank {rank}: process exited with status "
+                f"{os.waitstatus_to_exitcode(status)} (phase: run)", None)
+    return outcome if isinstance(outcome, RankResult) else (*outcome, None)
+
+
+def _run_ranks(bodies: list, transports: list[Transport],
+               fork: bool) -> list:
+    """Run rank 0 on the calling thread and every other rank in a forked
+    child (`fork`) or a thread; returns each rank's `_outcome`.
+
+    Forking happens here, on the calling thread, once the rendezvous
+    threads have joined; each rank starts its device thread only inside
+    its body.  The caller closes its copies of the children's links before
+    it runs rank 0, so a child that dies reads to its neighbours as a
+    closed link.
+    """
+    outcomes: list = [None] * len(bodies)
+    children, threads = [], []
+
+    def in_thread(rank: int) -> None:
+        outcomes[rank] = _outcome(bodies[rank])
+
+    try:
+        for rank in range(1, len(bodies)):
+            if fork:
+                children.append(
+                    (rank, *_fork_rank(bodies[rank], transports[rank],
+                                       transports)))
+                transports[rank].close()
+            else:
+                th = threading.Thread(target=in_thread, args=(rank,),
+                                      name=f"lbhx-rank{rank}")
+                th.start()
+                threads.append(th)
+        outcomes[0] = _outcome(bodies[0])
+    finally:
+        transports[0].close()  # already closed, unless rank 0 never ran
+        for th in threads:
+            th.join()
+        for rank, pid, read_fd in children:
+            outcomes[rank] = _reap(rank, pid, read_fd)
+    return outcomes
+
+
+def _checked_results(outcomes: list) -> list[RankResult]:
+    """The RankResults, or a CommunicationFault carrying the error of the
+    rank where the failure started: the lowest rank whose error is not a
+    closed link, else the lowest failed rank."""
+    failed = [(rank, out) for rank, out in enumerate(outcomes)
+              if not isinstance(out, RankResult)]
+    if not failed:
+        return outcomes
+    rank, (name, message, cause) = min(
+        failed, key=lambda f: (f[1][0] == PeerClosedFault.__name__, f[0]))
+    raise CommunicationFault(
+        f"rank {rank} failed during the run: {name}: {message}") from cause
 
 
 def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
@@ -347,11 +490,14 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
                     initial_state: np.ndarray | None = None, profile=None):
     """Run the configured simulation on n ranks and merge the results.
 
-    Ranks execute as threads in this process; the TCP transport still moves
-    every halo byte through real sockets, so the wire path matches a
-    multi-process deployment.  Each rank's border width comes from
-    `hetero.rank_border_widths` with `profile`.  Returns (BenchReport,
-    merged canonical state, list of RankResult).
+    Rank 0 runs on the calling thread.  Over TCP every other rank runs in a
+    child forked from it, so ranks do not share an interpreter lock, and
+    writes its final slice into a shared map of the merged state.  The
+    in-memory fabric's queues live in this process, so its other ranks are
+    threads.  Each rank's border width comes from `hetero.rank_border_widths`
+    with `profile`.  Returns (BenchReport, merged canonical state, list of
+    RankResult).  A failed rank raises CommunicationFault naming the rank
+    where the failure started, with that rank's own message.
     """
     import statistics
 
@@ -378,27 +524,20 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
     else:
         raise ConfigurationError(f"unknown transport {transport_kind!r}")
 
-    barrier = threading.Barrier(n_ranks)
-    slots: list[list] = [[None] for _ in range(n_ranks)]
-    threads = []
-    for lay, m, transport, slot in zip(layouts, ms, transports, slots):
-        sl = initial_state[:, lay.x0:lay.x0 + lay.width, :].copy()
-        th = threading.Thread(target=_rank_body,
-                              args=(cfg, lay, m, transport, sl, slot, barrier),
-                              name=f"lbhx-rank{lay.rank}")
-        th.start()
-        threads.append(th)
-    for th in threads:
-        th.join()
+    # anonymous and shared, so forked ranks write their finals in place
+    shape = (model.Q, cfg.lx, cfg.ly)
+    merged = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
+                           dtype=np.float64).reshape(shape)
+    columns = [np.s_[:, lay.x0:lay.x0 + lay.width, :] for lay in layouts]
+    bodies = [partial(_rank_body, cfg, lay, m, transport,
+                      initial_state[cols], merged[cols])
+              for lay, m, transport, cols
+              in zip(layouts, ms, transports, columns)]
+    results = _checked_results(
+        _run_ranks(bodies, transports, fork=transport_kind == "tcp"))
+    for res, cols in zip(results, columns):
+        res.final = merged[cols]
 
-    results: list[RankResult] = []
-    for rank, slot in enumerate(slots):
-        if isinstance(slot[0], BaseException):
-            raise CommunicationFault(
-                f"rank {rank} failed during the run") from slot[0]
-        results.append(slot[0])
-
-    merged = np.concatenate([r.final for r in results], axis=1)
     report = BenchReport("distributed", metadata={
         "n_ranks": str(n_ranks), "transport": transport_kind,
         "lx": str(cfg.lx), "ly": str(cfg.ly), "model": model.name,
@@ -415,7 +554,8 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
                        bytes_sent=r.bytes_sent,
                        bytes_received=r.bytes_received,
                        median_t_exe=(statistics.median(r.iteration_times)
-                                     if r.iteration_times else 0.0))
+                                     if r.iteration_times else 0.0),
+                       peak_rss_mb=r.peak_rss_mb)
     return report, merged, results
 
 

@@ -25,6 +25,10 @@ class CommunicationFault(RuntimeFault):
     """Transport failure during rank-halo exchange; names the peer involved."""
 
 
+class PeerClosedFault(CommunicationFault):
+    """A peer closed its end of a link, most often because it failed first."""
+
+
 class TuningError(LbhxError):
     """Auto-tuning could not produce a usable profile."""
 

@@ -217,3 +217,125 @@ def test_tcp_io_deadline_names_rank_peer_and_phase(monkeypatch):
     finally:
         for t in transports:
             t.close()
+
+
+def _fail_rank(monkeypatch, rank, action, at_exchange=4):
+    """Make `rank` call `action` at its `at_exchange`-th halo exchange (the
+    first is load_state's), through the name `_rank_body` looks up."""
+    import lbhx.distributed as D
+    real = D.exchange_rank_halos
+    calls = [0]
+
+    def exchange(buf, layout, transport):
+        if layout.rank == rank:
+            calls[0] += 1
+            if calls[0] == at_exchange:
+                action()
+        real(buf, layout, transport)
+
+    monkeypatch.setattr(D, "exchange_rank_halos", exchange)
+
+
+def _in_child_only(action):
+    """Guard an action that ends its process: it may only run in a fork."""
+    import os
+    parent = os.getpid()
+
+    def guarded():
+        assert os.getpid() != parent, "rank ran in the test's own process"
+        action()
+    return guarded
+
+
+def _raise_injected():
+    raise RuntimeError("injected fault in rank 1")
+
+
+def _ring_cfg(n_ranks=2):
+    return _cfg(**{"lattice.lx": 24 * n_ranks, "lattice.ly": 16,
+                   "run.iterations": 10, "hetero.m": 0})
+
+
+@pytest.mark.parametrize("transport", ["in_memory", "tcp"])
+def test_failure_names_the_rank_where_it_started(monkeypatch, transport):
+    """Rank 1 fails; rank 0 then reads a closed link.  The fault names rank
+    1 and keeps its message instead of reporting rank 0's short read."""
+    import time
+    import lbhx.distributed as D
+    monkeypatch.setattr(D, "IO_TIMEOUT", 1.0)
+    _fail_rank(monkeypatch, 1, _raise_injected)
+    t0 = time.monotonic()
+    with pytest.raises(CommunicationFault) as err:
+        run_distributed(_ring_cfg(), 2, transport)
+    assert time.monotonic() - t0 < 10.0
+    msg = str(err.value)
+    assert msg.startswith("rank 1 failed during the run")
+    assert "RuntimeError: injected fault in rank 1" in msg
+
+
+@pytest.mark.parametrize("transport", ["in_memory", "tcp"])
+def test_scale_exits_2_naming_the_failed_rank(monkeypatch, capsys,
+                                               transport):
+    from lbhx.cli import main
+    _fail_rank(monkeypatch, 1, _raise_injected)
+    code = main(["scale", "--ranks", "2", "--transport", transport,
+                 "--lattice-lx", "48", "--lattice-ly", "16",
+                 "--run-iterations", "10", "--hetero-m", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "rank 1 failed" in err and "injected fault in rank 1" in err
+
+
+@pytest.mark.parametrize("end, status", [
+    ("exit", 3), ("kill", -9)])
+def test_forked_rank_dying_without_result_is_named(monkeypatch, end, status):
+    import os
+    import signal
+    import time
+    import lbhx.distributed as D
+    monkeypatch.setattr(D, "IO_TIMEOUT", 1.0)
+    action = {"exit": lambda: os._exit(3),
+              "kill": lambda: os.kill(os.getpid(), signal.SIGKILL)}[end]
+    _fail_rank(monkeypatch, 1, _in_child_only(action))
+    t0 = time.monotonic()
+    with pytest.raises(CommunicationFault,
+                       match=rf"CommunicationFault: rank 1: process exited "
+                             rf"with status {status} \(phase: run\)"):
+        run_distributed(_ring_cfg(), 2, "tcp")
+    assert time.monotonic() - t0 < 10.0
+
+
+def test_rank0_failure_ends_forked_ranks_on_eof(monkeypatch):
+    """Rank 0 fails in the caller; the forked ranks read closed links and
+    end at once instead of waiting out IO_TIMEOUT."""
+    import time
+    import lbhx.distributed as D
+    monkeypatch.setattr(D, "IO_TIMEOUT", 1.0)
+
+    def fail():
+        raise RuntimeError("injected fault in rank 0")
+
+    _fail_rank(monkeypatch, 0, fail)
+    reaped = {}
+    real_reap = D._reap
+
+    def reap(rank, pid, read_fd):
+        reaped[rank] = real_reap(rank, pid, read_fd)
+        return reaped[rank]
+
+    monkeypatch.setattr(D, "_reap", reap)
+    t0 = time.monotonic()
+    with pytest.raises(CommunicationFault, match="rank 0 failed during the "
+                       "run: RuntimeError: injected fault in rank 0"):
+        run_distributed(_ring_cfg(3), 3, "tcp")
+    assert time.monotonic() - t0 < 10.0
+    assert sorted(reaped) == [1, 2]
+    for outcome in reaped.values():
+        assert outcome[0] == "PeerClosedFault", outcome
+
+
+def test_each_rank_reports_its_process_peak_rss():
+    report, _, results = run_distributed(_ring_cfg(), 2, "tcp")
+    assert [r.peak_rss_mb > 0 for r in results] == [True, True]
+    assert [row["peak_rss_mb"] for row in report.rows] == \
+        [r.peak_rss_mb for r in results]
