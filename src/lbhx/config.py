@@ -15,9 +15,6 @@ ENV_OVERRIDES = {
     "LBHX_DEVICE_THROTTLE": "pool.device_throttle",
 }
 
-#: X halo width for every model: the reach of D2Q37, the widest stencil
-HALO = 3
-
 DEFAULTS: dict[str, str] = {
     "lattice.lx": "48",
     "lattice.ly": "64",
@@ -119,7 +116,9 @@ class RunConfig:
 
     @property
     def geometry(self) -> Geometry:
-        return Geometry(self.lx, self.ly, halo=HALO)
+        """The X halo is as wide as the model's stencil reaches."""
+        return Geometry(self.lx, self.ly,
+                        halo=builtin_model(self.model_name).R)
 
 
 def build_run_config(values: dict[str, str]) -> RunConfig:
@@ -131,10 +130,8 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
         desc = LayoutDescriptor(family)
     model = builtin_model(values["model"])  # validates the model name
     geom = Geometry(_as_int(values, "lattice.lx"), _as_int(values, "lattice.ly"),
-                    halo=HALO)
+                    halo=model.R)
     geom.check_vl(desc)
-    if geom.halo < model.R:
-        raise ConfigurationError("halo narrower than the model stencil reach")
     m = _as_int(values, "hetero.m")
     autotune_m = _as_bool(values, "hetero.autotune")
     if autotune_m and m != 0:

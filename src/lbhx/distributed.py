@@ -1,11 +1,11 @@
 """X-direction rank decomposition with halo exchange over pluggable transports.
 
 Ranks form a periodic ring along X.  Each rank owns a contiguous column range
-and a HeteroRuntime; the outermost H columns on each side are halos holding
-copies of the neighbors' edge columns.  Message payloads are the canonical
-(p-major, then x, then y) serialization of H columns as little-endian float64,
-framed as (tag u32, length u64, payload); they are always sourced from
-host-resident buffers.
+and a HeteroRuntime; the outermost H columns on each side, H being the
+model's stencil reach, are halos holding copies of the neighbors' edge
+columns.  Message payloads are the canonical (p-major, then x, then y)
+serialization of H columns as little-endian float64, framed as (tag u32,
+length u64, payload); they are always sourced from host-resident buffers.
 
 Two transports ship: in-process queues (tests, single-process runs) and TCP
 sockets (rendezvous via a host:port list).  `run_distributed` runs rank 0 on
@@ -61,8 +61,9 @@ class RankLayout:
         return (self.rank + 1) % self.n_ranks
 
 
-def decompose_x(lx_global: int, n_ranks: int, halo: int = 3) -> list[RankLayout]:
-    """Near-even contiguous slices; remainder columns go to the lowest ranks."""
+def decompose_x(lx_global: int, n_ranks: int, halo: int) -> list[RankLayout]:
+    """Near-even contiguous slices of at least 2 * `halo` columns; remainder
+    columns go to the lowest ranks."""
     if n_ranks < 1:
         raise ConfigurationError("need at least one rank")
     base, rem = divmod(lx_global, n_ranks)
@@ -248,24 +249,25 @@ class TcpTransport(Transport):
 
 
 def _recv_exact(sock: socket.socket, count: int, rank: int, peer: int,
-                phase: str) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
+                phase: str) -> bytearray:
+    """Read exactly `count` bytes into one preallocated buffer, so no
+    received chunks are joined."""
+    data = bytearray(count)
+    view = memoryview(data)
+    got = 0
+    while got < count:
         try:
-            chunk = sock.recv(remaining)
+            n = sock.recv_into(view[got:])
         except OSError as exc:
             raise _link_fault(exc)(
                 f"rank {rank}: receive from rank {peer} failed after "
-                f"{count - remaining}/{count} bytes (phase: {phase}): "
-                f"{exc}") from None
-        if not chunk:
+                f"{got}/{count} bytes (phase: {phase}): {exc}") from None
+        if not n:
             raise PeerClosedFault(
                 f"rank {rank}: short read from rank {peer} "
-                f"({count - remaining}/{count} bytes, phase: {phase})")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+                f"({got}/{count} bytes, phase: {phase})")
+        got += n
+    return data
 
 
 def _link_fault(exc: OSError) -> type[CommunicationFault]:

@@ -263,8 +263,8 @@ def equilibrium(model: LatticeModel, m: Macroscopics) -> np.ndarray:
 #: Collide and the fused step run in blocks of about this many sites, so the
 #: temporaries of one block have a size-independent cache footprint; this
 #: keeps the measured per-site cost linear in region size, which the time
-#: model assumes.  Rank threads share the interpreter lock, so smaller blocks
-#: add lock hand-offs.
+#: model assumes.  A rank's host and device tracks share the interpreter lock,
+#: as do in-memory rank threads, so smaller blocks add lock hand-offs.
 BLOCK_SITES = 16384
 
 

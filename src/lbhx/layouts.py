@@ -87,7 +87,7 @@ class Geometry:
 
     lx: int
     ly: int
-    halo: int = 3
+    halo: int
 
     def __post_init__(self):
         if self.lx <= 0 or self.ly <= 0:

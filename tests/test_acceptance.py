@@ -200,14 +200,16 @@ def test_07_hetero_split_timing(capsys):
 def test_08_distributed_equivalence_and_traffic(capsys):
     """4 ranks reproduce the 1-rank run bit-exactly on both transports over
     20 iterations of D2Q9 on 96x64, and each rank moves exactly
-    2 * H * LY * Q * 8 bytes per direction per iteration."""
+    2 * H * LY * Q * 8 bytes per direction per iteration, with H = 1, the
+    reach of D2Q9."""
     cfg = _cfg(**{"lattice.lx": 96, "lattice.ly": 64, "run.iterations": 20,
                   "hetero.m": 6})
     model = builtin_model(cfg.model_name)
     init = random_state(model, 96, 64, 81)
     _, merged1, _ = run_distributed(cfg, 1, "in_memory", initial_state=init)
-    expected = 2 * 3 * 64 * model.Q * 8 * cfg.iterations
-    ok, details = True, []
+    halo = cfg.geometry.halo
+    expected = 2 * halo * 64 * model.Q * 8 * cfg.iterations
+    ok, details = halo == 1, [f"H={halo}"]
     for transport in ("in_memory", "tcp"):
         _, merged4, results = run_distributed(cfg, 4, transport,
                                               initial_state=init)

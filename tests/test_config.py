@@ -7,6 +7,7 @@ from lbhx.config import (DEFAULTS, build_run_config, load_config,
 from lbhx.errors import ConfigurationError
 from lbhx.kernels import WALL_BOUNCE_BACK
 from lbhx.layouts import Clustering, Family
+from lbhx.model import builtin_model
 
 
 def test_defaults_build():
@@ -15,9 +16,11 @@ def test_defaults_build():
     assert cfg.model_name == "d2q9"
     assert cfg.layout.family == Family.CAOSOA and cfg.layout.vl == 4
     assert cfg.layout.clustering == Clustering.INTERLEAVED
-    assert cfg.geometry.halo == 3
+    assert cfg.geometry.halo == builtin_model(cfg.model_name).R == 1
     assert cfg.m == 0 and not cfg.autotune_m
     assert cfg.endpoints == []
+    q37 = build_run_config({**DEFAULTS, "model": "d2q37"})
+    assert q37.geometry.halo == 3
 
 
 def test_parse_config_text():

@@ -21,7 +21,7 @@ def _cfg(**overrides):
 
 def test_decompose_x_covers_lattice():
     for lx, n in ((96, 4), (97, 4), (100, 3), (24, 1)):
-        layouts = decompose_x(lx, n)
+        layouts = decompose_x(lx, n, halo=3)
         assert [l.rank for l in layouts] == list(range(n))
         assert layouts[0].x0 == 0
         assert sum(l.width for l in layouts) == lx
@@ -29,9 +29,12 @@ def test_decompose_x_covers_lattice():
             assert b.x0 == a.x0 + a.width
         assert max(l.width for l in layouts) - min(l.width for l in layouts) <= 1
     with pytest.raises(ConfigurationError):
-        decompose_x(20, 4)  # 5-column slices thinner than 2H=6
+        decompose_x(20, 4, halo=3)  # 5-column slices thinner than 2H=6
+    assert [l.width for l in decompose_x(8, 4, halo=1)] == [2] * 4
     with pytest.raises(ConfigurationError):
-        decompose_x(96, 0)
+        decompose_x(7, 4, halo=1)  # 1-column slices thinner than 2H=2
+    with pytest.raises(ConfigurationError):
+        decompose_x(96, 0, halo=3)
 
 
 def test_ring_neighbors():
@@ -47,7 +50,7 @@ def test_exchange_moves_neighbor_edges():
     model = builtin_model("d2q9")
     geom = Geometry(12, 8, halo=3)
     fabric = InMemoryFabric(2)
-    layouts = decompose_x(24, 2)
+    layouts = decompose_x(24, 2, halo=3)
     full = random_state(model, 24, 8, 33)
     bufs = []
     for lay in layouts:
@@ -88,10 +91,13 @@ def test_payload_length_is_validated():
 
 
 @pytest.mark.parametrize("transport", ["in_memory", "tcp"])
-@pytest.mark.parametrize("n_ranks", [2, 4])
-def test_n_ranks_match_single_rank(transport, n_ranks):
+@pytest.mark.parametrize("n_ranks,model_name,halo",
+                         [(2, "d2q9", 1), (4, "d2q9", 1), (2, "d2q37", 3)],
+                         ids=["2", "4", "2-d2q37"])
+def test_n_ranks_match_single_rank(transport, n_ranks, model_name, halo):
     cfg = _cfg(**{"lattice.lx": 96, "lattice.ly": 32, "run.iterations": 10,
-                  "hetero.m": 4})
+                  "hetero.m": 4, "model": model_name})
+    assert cfg.geometry.halo == halo
     model = builtin_model(cfg.model_name)
     init = random_state(model, 96, 32, 44)
     _, merged1, _ = run_distributed(cfg, 1, "in_memory", initial_state=init)
@@ -99,10 +105,32 @@ def test_n_ranks_match_single_rank(transport, n_ranks):
                                           initial_state=init)
     assert np.array_equal(merged1, mergedN)
     # per-rank traffic: 2 directions x H columns x LY x Q x 8 bytes per step
-    expected = 2 * 3 * 32 * model.Q * 8 * cfg.iterations
+    expected = 2 * cfg.geometry.halo * 32 * model.Q * 8 * cfg.iterations
     for r in results:
         assert r.bytes_sent == expected
         assert r.bytes_received == expected
+
+
+@pytest.mark.parametrize("transport", ["in_memory", "tcp"])
+@pytest.mark.parametrize("m", [0, 1])
+def test_thinnest_d2q9_slices_match_one_rank_and_wider_halo(monkeypatch,
+                                                            transport, m):
+    """D2Q9 slices of 2 columns (2H, with H = 1) reproduce the 1-rank run
+    and the same 1-rank run with a 3-column halo, with walls in Y."""
+    import lbhx.config as config
+    cfg = _cfg(**{"lattice.lx": 8, "lattice.ly": 16, "run.iterations": 6,
+                  "hetero.m": m, "bc.y": "wall_bounce_back"})
+    assert cfg.geometry.halo == 1
+    init = random_state(builtin_model(cfg.model_name), 8, 16, 45)
+    _, merged4, results = run_distributed(cfg, 4, transport,
+                                          initial_state=init)
+    assert [r.layout.width for r in results] == [2] * 4
+    _, merged1, _ = run_distributed(cfg, 1, "in_memory", initial_state=init)
+    monkeypatch.setattr(config.RunConfig, "geometry", property(
+        lambda c: Geometry(c.lx, c.ly, halo=3)))
+    _, merged_h3, _ = run_distributed(cfg, 1, "in_memory", initial_state=init)
+    assert np.array_equal(merged4, merged1)
+    assert np.array_equal(merged4, merged_h3)
 
 
 def test_distributed_merge_and_report():
@@ -167,7 +195,7 @@ def test_tcp_links_disable_nagle():
     halo writes to one peer are not held for a delayed ACK."""
     import socket
     import lbhx.distributed as D
-    transports = D._tcp_rendezvous(decompose_x(24, 3))
+    transports = D._tcp_rendezvous(decompose_x(24, 3, halo=3))
     try:
         for t in transports:
             assert len(t._socks) == 2
@@ -202,7 +230,7 @@ def test_tcp_io_deadline_names_rank_peer_and_phase(monkeypatch):
     sends makes recv fail with a CommunicationFault instead of hanging."""
     import lbhx.distributed as D
     monkeypatch.setattr(D, "IO_TIMEOUT", 0.2)
-    layouts = decompose_x(24, 2)
+    layouts = decompose_x(24, 2, halo=3)
     transports = D._tcp_rendezvous(layouts)
     try:
         for t in transports:

@@ -56,20 +56,25 @@ def test_device_throttle_guard():
                           device_throttle=throttle)
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8, 12])
+@pytest.mark.parametrize(
+    "halo,m", [pytest.param(3, m, id=str(m)) for m in (0, 1, 2, 3, 5, 8, 12)]
+    + [pytest.param(1, m, id=f"h1-{m}") for m in (0, 1, 2, 12)])
 @pytest.mark.parametrize("y_mode", [PERIODIC, WALL_BOUNCE_BACK])
-def test_split_matches_reference_every_m(m, y_mode):
-    """All widths, including M < halo (early-exchange path) and bulk-free
-    M = LX/2, reproduce the single-buffer run bit for bit, with periodic and
-    with bounce-back walls in Y."""
+def test_split_matches_reference_every_m(halo, m, y_mode):
+    """All widths, including M < halo (early-exchange path), M = halo (the
+    first overlapped width) and bulk-free M = LX/2, reproduce the
+    single-buffer run bit for bit, with periodic and with bounce-back walls
+    in Y.  D2Q9 reaches one column, so a 1-column halo gives the same state
+    as the 3-column reference."""
     model = builtin_model("d2q9")
     params = ModelParams(tau=0.8)
     policy = BoundaryPolicy(y_mode)
+    geom = Geometry(GEOM.lx, GEOM.ly, halo=halo)
     init = random_state(model, GEOM.lx, GEOM.ly, 17)
     expected = _reference_final(model, params, init, 8, policy=policy)
-    with HeteroRuntime(model, params, DESC, GEOM, policy=policy) as rt:
+    with HeteroRuntime(model, params, DESC, geom, policy=policy) as rt:
         rt.load_state(init)
-        plan = make_partition(GEOM, m)
+        plan = make_partition(geom, m)
         for _ in range(8):
             rt.run_timestep(plan)
         final = rt.state(plan)
