@@ -1,8 +1,8 @@
 """Command-line front end: benchmark tables, balance/VL sweeps, scaling runs,
 validation, prediction and state dumps, all emitting machine-readable CSV.
 
-Exit status: 0 success, 1 configuration error, 2 runtime fault, 3 validation
-failure.
+Exit status: 0 success, 1 configuration or tuning error, 2 runtime fault,
+3 validation failure.
 """
 from __future__ import annotations
 

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all lbhx modules.
 
-Exit-code mapping used by the CLI: ConfigurationError -> 1,
+Exit-code mapping used by the CLI: ConfigurationError and TuningError -> 1,
 RuntimeFault/CommunicationFault -> 2, ValidationFailure -> 3.
 """
 

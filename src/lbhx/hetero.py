@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, RuntimeFault, TuningError
+from .errors import ConfigurationError, RuntimeFault
 from .kernels import BoundaryPolicy, Region, stream_collide_region
 from .layouts import FieldBuffer, Geometry, LayoutDescriptor
 from .model import LatticeModel, ModelParams
@@ -362,67 +362,24 @@ def balance_experiment(runtime: HeteroRuntime, widths: list[int],
                        m_points: list[int], *, warmup: int = 3,
                        rounds: int = 30
                        ) -> tuple["PerfProfile", list[BalancePoint]]:
-    """Tune a profile and sweep border widths, sampled in one interleaved loop.
+    """Tune a profile and sweep border widths with one sampler.
 
-    Every measurand -- the tuning regions on both tracks, the exchange and swap
-    transfers, and each sweep point's full timestep -- is sampled once per
-    round, in an order reshuffled every round, and aggregated by the mean of
-    its three fastest rounds.  On a shared host, interference only ever adds
-    time, so the fastest samples estimate the undisturbed cost; shuffling
-    removes the systematic effect of what ran just before each sample, and
-    taking the same statistic for both the fitted profile and the measured
-    sweep keeps the comparison between them meaningful.
+    Each sweep point's full timestep joins the tuning measurands of
+    `perf_model.measure_profile` as an extra, so the fitted profile and the
+    measured sweep come from the same interleaved, shuffled rounds and the
+    same best-3 statistic, which keeps the comparison between them
+    meaningful.
     """
-    import random as _random
+    from .perf_model import measure_profile, predict
 
-    from .perf_model import PerfProfile, _fit_slope, predict
-
-    runner = HeteroTuningRunner(runtime, widths)
     g = runtime.geom
-    plans = {m: make_partition(g, m) for m in m_points}
-    sizes = runner.compute_sizes("device")
-
-    measurands: list[tuple[str, object]] = (
-        [("device", s) for s in sizes] + [("host", s) for s in sizes]
-        + [("comm", None), ("swap", None)] + [("step", m) for m in m_points])
-
-    def sample(kind, arg) -> float:
-        if kind in ("device", "host"):
-            return runner.time_compute(kind, arg)
-        if kind == "comm":
-            return runner.time_comm()
-        if kind == "swap":
-            return runner.time_swap()
-        return runtime.run_timestep(plans[arg]).t_exe
-
-    for kind, arg in measurands:
-        for _ in range(warmup):
-            sample(kind, arg)
-    samples: dict[tuple, list[float]] = {key: [] for key in measurands}
-    shuffler = _random.Random(20240)
-    order = list(measurands)
-    for _ in range(rounds):
-        shuffler.shuffle(order)
-        for key in order:
-            # untimed twin first: the timed sample then runs with caches and
-            # predictors in its own state, not the previous measurand's
-            sample(*key)
-            samples[key].append(sample(*key))
-
-    best = {key: sum(sorted(vals)[:3]) / 3 for key, vals in samples.items()}
-    slopes = {pool: _fit_slope(sizes, [best[(pool, s)] for s in sizes])
-              for pool in ("device", "host")}
-    for pool, slope in slopes.items():
-        if slope <= 0:
-            raise TuningError(f"{pool} pool: non-positive fitted slope {slope}")
-    profile = PerfProfile(
-        tau_d=slopes["device"], tau_h=slopes["host"],
-        tau_c=max(best[("comm", None)], 0.0),
-        t_swap=max(best[("swap", None)], 0.0),
-        meta=(("source", "balance_experiment"),))
-    points = [BalancePoint(m, best[("step", m)],
-                           predict(profile, g.lx, g.ly, m).t_exe)
-              for m in m_points]
+    steps = [lambda plan=make_partition(g, m): runtime.run_timestep(plan).t_exe
+             for m in m_points]
+    profile, measured = measure_profile(
+        HeteroTuningRunner(runtime, widths), warmup=warmup, rounds=rounds,
+        extra=steps)
+    points = [BalancePoint(m, t, predict(profile, g.lx, g.ly, m).t_exe)
+              for m, t in zip(m_points, measured)]
     return profile, points
 
 

@@ -13,23 +13,25 @@ continuous optimum is
 
     M_opt = (LX * LY * tau_d - tau_c) / (2 * LY * (tau_d + tau_h)).
 
-tau_c is modeled as M-independent.  The tuner recovers the four parameters
-from timed mini-benchmarks: least-squares slopes of time vs sites processed
-for tau_h and tau_d, medians of repeated transfers for tau_c and t_swap.
+tau_c is modeled as M-independent.  One estimator, `measure_profile`,
+recovers the four parameters from timed mini-benchmarks, sampled
+interleaved in a seeded shuffled order with an untimed twin before each
+timed sample; each estimate is the mean of the three fastest rounds.
+tau_h and tau_d are least-squares slopes of those estimates vs sites
+processed, tau_c and t_swap the estimates of one exchange and one swap.
 """
 from __future__ import annotations
 
 import math
+import random
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Callable, Protocol
+from functools import partial
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, TuningError
-
-#: measurement acceptance threshold (coefficient of variation per point)
-CV_LIMIT = 0.05
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def whatif(profile: PerfProfile, lx: int, ly: int,
 
 
 class TuningRunner(Protocol):
-    """Benchmark harness contract used by autotune."""
+    """Benchmark harness contract used by measure_profile."""
 
     def compute_sizes(self, pool: str) -> list[int]:
         """Region sizes (sites) to sample on the given pool (host/device)."""
@@ -134,27 +136,6 @@ class TuningRunner(Protocol):
         """Seconds for one host<->device halo swap."""
 
 
-def _timed_medians(fns: list[Callable[[], float]], warmup: int, iters: int
-                   ) -> tuple[list[float], list[float]]:
-    """Median and coefficient of variation per timed function.
-
-    Samples are taken round-robin across the functions so that slow drift of
-    the machine during the measurement biases every size equally instead of
-    tilting the fitted slope.
-    """
-    for fn in fns:
-        for _ in range(warmup):
-            fn()
-    samples: list[list[float]] = [[] for _ in fns]
-    for _ in range(iters):
-        for i, fn in enumerate(fns):
-            samples[i].append(fn())
-    medians = [statistics.median(s) for s in samples]
-    cvs = [statistics.pstdev(s) / m if m > 0 else 0.0
-           for s, m in zip(samples, medians)]
-    return medians, cvs
-
-
 def _fit_slope(sites: list[int], times: list[float]) -> float:
     """Least-squares slope of time vs sites (affine fit, intercept dropped)."""
     slope, _intercept = np.polyfit(np.asarray(sites, dtype=np.float64),
@@ -162,44 +143,79 @@ def _fit_slope(sites: list[int], times: list[float]) -> float:
     return float(slope)
 
 
-def autotune(runner: TuningRunner, *, warmup: int = 5, iters: int = 20,
-             comm_samples: int = 20) -> PerfProfile:
-    """Measure a PerfProfile with the runner's mini-benchmarks.
+def measure_profile(runner: TuningRunner, *, warmup: int, rounds: int,
+                    extra: Sequence[Callable[[], float]] = ()
+                    ) -> tuple[PerfProfile, list[float]]:
+    """Measure a PerfProfile, and the best times of the `extra` measurands.
 
-    Raises TuningError for degenerate inputs: fewer than 3 region sizes per
-    pool, non-monotone median timings, or a non-positive fitted slope.
+    The measurands are each pool's compute at each of its
+    `runner.compute_sizes`, the halo exchange, the halo swap and every
+    `extra` callable (each returns the seconds it measured).  Each runs
+    `warmup` untimed times, then once per round, in an order reshuffled
+    every round by a fixed seed.  Each timed sample follows an untimed twin,
+    so it runs with caches and predictors in its own state, not the previous
+    measurand's.  A measurand's estimate is the mean of its three fastest
+    rounds: on a shared host interference only adds time, so the fastest
+    samples estimate the undisturbed cost (Chen & Revels, arXiv:1608.04295),
+    and shuffling removes the effect of what ran just before each sample.
+
+    Raises TuningError for degenerate inputs: fewer than 3 positive region
+    sizes per pool, compute times that fall with size, or a non-positive
+    fitted slope.
     """
-    slopes: dict[str, float] = {}
-    flags: list[str] = []
-    for pool in ("device", "host"):
-        sizes = sorted(runner.compute_sizes(pool))
-        if len(sizes) < 3 or any(s <= 0 for s in sizes):
+    sizes = {pool: sorted(runner.compute_sizes(pool))
+             for pool in ("device", "host")}
+    for pool, pool_sizes in sizes.items():
+        if len(pool_sizes) < 3 or any(s <= 0 for s in pool_sizes):
             raise TuningError(
-                f"{pool} pool: need >= 3 positive region sizes, got {sizes}")
-        medians, cvs = _timed_medians(
-            [lambda s=sites: runner.time_compute(pool, s) for sites in sizes],
-            warmup, iters)
-        for sites, cv in zip(sizes, cvs):
-            if cv > CV_LIMIT:
-                flags.append(f"{pool}@{sites}:cv={cv:.3f}")
+                f"{pool} pool: need >= 3 positive region sizes, got {pool_sizes}")
+    if rounds < 1:
+        raise ConfigurationError(f"tuning needs at least 1 round, got {rounds}")
+    measurands = [partial(runner.time_compute, pool, s)
+                  for pool, pool_sizes in sizes.items() for s in pool_sizes]
+    measurands += [runner.time_comm, runner.time_swap, *extra]
+    for fn in measurands:
+        for _ in range(warmup):
+            fn()
+    samples: list[list[float]] = [[] for _ in measurands]
+    order = list(range(len(measurands)))
+    shuffler = random.Random(20240)
+    for _ in range(rounds):
+        shuffler.shuffle(order)
+        for i in order:
+            measurands[i]()  # the untimed twin
+            samples[i].append(measurands[i]())
+    best = iter([statistics.fmean(sorted(s)[:3]) for s in samples])
+
+    slopes: dict[str, float] = {}
+    for pool, pool_sizes in sizes.items():
+        times = [next(best) for _ in pool_sizes]
         # degenerate if the trend is not increasing overall, or any step
         # decreases by more than measurement jitter can explain
-        if medians[-1] <= medians[0] or any(
-                b < 0.8 * a for a, b in zip(medians, medians[1:])):
+        if times[-1] <= times[0] or any(
+                b < 0.8 * a for a, b in zip(times, times[1:])):
             raise TuningError(
-                f"{pool} pool: non-monotone timings {medians} for sizes {sizes}")
-        slope = _fit_slope(sizes, medians)
-        if slope <= 0:
-            raise TuningError(f"{pool} pool: non-positive fitted slope {slope}")
-        slopes[pool] = slope
-    tau_c = statistics.median(runner.time_comm() for _ in range(comm_samples))
-    t_swap = statistics.median(runner.time_swap() for _ in range(comm_samples))
-    meta = [("source", "autotune")]
-    if flags:
-        meta.append(("unstable", ";".join(flags)))
-    return PerfProfile(tau_d=slopes["device"], tau_h=slopes["host"],
-                       tau_c=max(tau_c, 0.0), t_swap=max(t_swap, 0.0),
-                       meta=tuple(meta))
+                f"{pool} pool: non-monotone timings {times} for sizes "
+                f"{pool_sizes}")
+        slopes[pool] = _fit_slope(pool_sizes, times)
+        if slopes[pool] <= 0:
+            raise TuningError(
+                f"{pool} pool: non-positive fitted slope {slopes[pool]}")
+    tau_c, t_swap = next(best), next(best)
+    profile = PerfProfile(tau_d=slopes["device"], tau_h=slopes["host"],
+                          tau_c=max(tau_c, 0.0), t_swap=max(t_swap, 0.0),
+                          meta=(("source", "measure_profile"),))
+    return profile, list(best)
+
+
+def autotune(runner: TuningRunner, *, warmup: int = 5,
+             iters: int = 20) -> PerfProfile:
+    """Measure a PerfProfile with `measure_profile` and no extra measurands:
+    `iters` shuffled rounds, an untimed twin before each timed sample, the
+    mean of each measurand's three fastest rounds, and its TuningError
+    guards."""
+    profile, _ = measure_profile(runner, warmup=warmup, rounds=iters)
+    return profile
 
 
 # -- profile (de)serialization: flat key-value text --------------------------

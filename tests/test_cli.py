@@ -16,11 +16,11 @@ def run_cli(capsys, *argv):
 
 
 def test_bench_csv_structure(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--kernels", "propagate",
-                           "--layouts", "aos,caosoa", "--iters", "3",
-                           "--warmup", "1", "--lattice-lx", "24",
-                           "--lattice-ly", "32")
-    assert code == 0
+    code, out, err = run_cli(capsys, "bench", "--kernels", "propagate",
+                             "--layouts", "aos,caosoa", "--iters", "3",
+                             "--warmup", "1", "--lattice-lx", "24",
+                             "--lattice-ly", "32")
+    assert code == 0, err
     report = BenchReport.from_csv(out)
     assert report.columns == ["kernel", "layout", "vl", "lx", "ly", "pool",
                               "t_ms", "cv", "mlups"]
@@ -37,18 +37,19 @@ def test_bench_zero_iters_is_config_error(capsys):
 
 def test_bench_output_file(tmp_path, capsys):
     out_file = tmp_path / "bench.csv"
-    code, out, _ = run_cli(capsys, "bench", "--kernels", "propagate",
-                           "--layouts", "soa", "--iters", "2", "--warmup", "1",
-                           "--lattice-lx", "24", "--lattice-ly", "32",
-                           "-o", str(out_file))
-    assert code == 0 and out == ""
+    code, out, err = run_cli(capsys, "bench", "--kernels", "propagate",
+                             "--layouts", "soa", "--iters", "2",
+                             "--warmup", "1", "--lattice-lx", "24",
+                             "--lattice-ly", "32", "-o", str(out_file))
+    assert code == 0, err
+    assert out == ""
     report = BenchReport.from_csv(out_file.read_text())
     assert len(report.rows) == 1
 
 
 def test_validate_quick_passes(capsys):
-    code, out, _ = run_cli(capsys, "validate", "--quick")
-    assert code == 0
+    code, out, err = run_cli(capsys, "validate", "--quick")
+    assert code == 0, err
     lines = [l for l in out.splitlines() if l.startswith("[")]
     assert lines and all(l.startswith("[PASS]") for l in lines)
 
@@ -62,10 +63,10 @@ def test_validate_injected_fault_fails(capsys):
 
 
 def test_predict_registry_and_overrides(capsys):
-    code, out, _ = run_cli(capsys, "predict", "--registry", "balanced",
-                           "--lattice-lx", "64", "--lattice-ly", "64",
-                           "--override", "tau_h=2e-8", "--m-step", "8")
-    assert code == 0
+    code, out, err = run_cli(capsys, "predict", "--registry", "balanced",
+                             "--lattice-lx", "64", "--lattice-ly", "64",
+                             "--override", "tau_h=2e-8", "--m-step", "8")
+    assert code == 0, err
     report = BenchReport.from_csv(out)
     curves = {r["curve"] for r in report.rows}
     assert curves == {"base", "override"}
@@ -78,10 +79,10 @@ def test_predict_registry_and_overrides(capsys):
 
 def test_predict_writes_gnuplot_files(tmp_path, capsys):
     prefix = str(tmp_path / "curves")
-    code, _, _ = run_cli(capsys, "predict", "--registry", "balanced",
-                         "--lattice-lx", "64", "--lattice-ly", "64",
-                         "--m-step", "16", "--dat-prefix", prefix)
-    assert code == 0
+    code, _, err = run_cli(capsys, "predict", "--registry", "balanced",
+                           "--lattice-lx", "64", "--lattice-ly", "64",
+                           "--m-step", "16", "--dat-prefix", prefix)
+    assert code == 0, err
     lines = (tmp_path / "curves_base.dat").read_text().splitlines()
     data = [l for l in lines if not l.startswith("#")]
     assert len(data) == 3  # M = 0, 16, 32
@@ -109,22 +110,23 @@ def test_predict_unknown_registry(capsys):
 
 
 def test_model_show(capsys):
-    code, out, _ = run_cli(capsys, "model", "show", "--name", "d2q37")
-    assert code == 0
+    code, out, err = run_cli(capsys, "model", "show", "--name", "d2q37")
+    assert code == 0, err
     assert "Q=37" in out and "moment order 4" in out
 
 
 def test_dump_then_load_roundtrip(tmp_path, capsys):
     path = tmp_path / "state.lbhx"
-    code, _, _ = run_cli(capsys, "dump", "--out", str(path),
-                         "--lattice-lx", "24", "--lattice-ly", "32",
-                         "--run-iterations", "3")
-    assert code == 0
+    code, _, err = run_cli(capsys, "dump", "--out", str(path),
+                           "--lattice-lx", "24", "--lattice-ly", "32",
+                           "--run-iterations", "3")
+    assert code == 0, err
     state, meta = read_dump(path)
     assert state.shape == (9, 24, 32)
     assert np.all(state > 0)
-    code, out, _ = run_cli(capsys, "load", str(path))
-    assert code == 0 and "24x32" in out
+    code, out, err = run_cli(capsys, "load", str(path))
+    assert code == 0, err
+    assert "24x32" in out
 
     # deterministic: a second identical run dumps identical bytes
     path2 = tmp_path / "state2.lbhx"
@@ -152,9 +154,9 @@ def test_config_file_and_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lattice.lx = 24\nlattice.ly = 32\nrun.iterations = 2\n")
     path = tmp_path / "s.lbhx"
-    code, _, _ = run_cli(capsys, "dump", "-c", str(cfg),
-                         "--set", "run.iterations=1", "--out", str(path))
-    assert code == 0
+    code, _, err = run_cli(capsys, "dump", "-c", str(cfg),
+                           "--set", "run.iterations=1", "--out", str(path))
+    assert code == 0, err
     state, _ = read_dump(path)
     assert state.shape == (9, 24, 32)
     code, _, err = run_cli(capsys, "dump", "-c", str(cfg), "--set", "oops",
@@ -163,11 +165,11 @@ def test_config_file_and_flags(tmp_path, capsys):
 
 
 def test_scale_structure(capsys):
-    code, out, _ = run_cli(capsys, "scale", "--ranks", "1,2",
-                           "--transport", "in_memory",
-                           "--lattice-lx", "48", "--lattice-ly", "16",
-                           "--run-iterations", "2", "--hetero-m", "4")
-    assert code == 0
+    code, out, err = run_cli(capsys, "scale", "--ranks", "1,2",
+                             "--transport", "in_memory",
+                             "--lattice-lx", "48", "--lattice-ly", "16",
+                             "--run-iterations", "2", "--hetero-m", "4")
+    assert code == 0, err
     report = BenchReport.from_csv(out)
     assert report.columns == ["ranks", "mode", "m", "mlups", "speedup"]
     assert len(report.rows) == 4  # 2 rank counts x {v1, v2}
@@ -185,10 +187,10 @@ def test_scale_v2_tunes_m_per_rank_width(capsys, monkeypatch):
     from lbhx.perf_model import PerfProfile
     profile = PerfProfile(tau_d=2e-8, tau_h=1e-8, tau_c=768e-8)
     monkeypatch.setattr(lbhx.cli, "tune_profile", lambda cfg, state: profile)
-    code, out, _ = run_cli(capsys, "scale", "--ranks", "1,2",
-                           "--lattice-lx", "48", "--lattice-ly", "64",
-                           "--run-iterations", "1")
-    assert code == 0
+    code, out, err = run_cli(capsys, "scale", "--ranks", "1,2",
+                             "--lattice-lx", "48", "--lattice-ly", "64",
+                             "--run-iterations", "1")
+    assert code == 0, err
     v2 = {r["ranks"]: r["m"] for r in BenchReport.from_csv(out).rows
           if r["mode"] == "v2"}
     assert v2 == {1: 14, 2: 6}
@@ -207,10 +209,10 @@ def test_throttle_below_one_is_config_error(tmp_path, capsys, command):
 
 def test_autotune_csv(capsys, tmp_path):
     out_file = tmp_path / "profile.txt"
-    code, out, _ = run_cli(capsys, "autotune", "--lattice-lx", "48",
-                           "--lattice-ly", "32", "--iters", "4",
-                           "--warmup", "1", "--save", str(out_file))
-    assert code == 0
+    code, out, err = run_cli(capsys, "autotune", "--lattice-lx", "48",
+                             "--lattice-ly", "32", "--iters", "4",
+                             "--warmup", "1", "--save", str(out_file))
+    assert code == 0, err
     report = BenchReport.from_csv(out)
     row = report.rows[0]
     assert row["tau_d"] > 0 and row["tau_h"] > 0
@@ -218,3 +220,20 @@ def test_autotune_csv(capsys, tmp_path):
     from lbhx.perf_model import load_profile
     prof = load_profile(out_file)
     assert prof.tau_d == row["tau_d"]
+
+
+def test_autotune_tuning_error_exits_one(capsys, monkeypatch):
+    """A TuningError leaves through the generic error branch: exit 1, with
+    the failing pool named on stderr."""
+    import lbhx.cli
+    from lbhx.errors import TuningError
+
+    def degenerate(runner, **kw):
+        raise TuningError("host pool: non-monotone timings [2.0, 1.0, 1.5] "
+                          "for sizes [192, 384, 576]")
+
+    monkeypatch.setattr(lbhx.cli, "autotune", degenerate)
+    code, out, err = run_cli(capsys, "autotune", "--lattice-lx", "48",
+                             "--lattice-ly", "32", "--iters", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "host pool" in err

@@ -4,7 +4,7 @@ the choice of each rank's border width."""
 import numpy as np
 import pytest
 
-from lbhx import hetero, perf_model
+from lbhx import hetero
 from lbhx.config import DEFAULTS, build_run_config
 from lbhx.errors import ConfigurationError, TuningError
 from lbhx.hetero import (HeteroRuntime, HeteroTuningRunner,
@@ -172,12 +172,16 @@ def test_compute_samples_last_the_floor(monkeypatch, pool):
 
 
 def test_balance_experiment_rejects_a_non_positive_slope(monkeypatch):
-    monkeypatch.setattr(perf_model, "_fit_slope", lambda sites, times: -1e-8)
+    """Compute times that pass the monotonicity guard but fit a negative
+    slope over uneven widths (2, 18 and 20 columns of 32 rows)."""
+    times = {64: 1e-3, 576: 0.85e-3, 640: 1.0001e-3}
+    monkeypatch.setattr(HeteroTuningRunner, "time_compute",
+                        lambda self, pool, sites: times[sites])
     model = builtin_model("d2q9")
     with HeteroRuntime(model, ModelParams(tau=0.8), DESC, GEOM) as rt:
         rt.load_state(random_state(model, GEOM.lx, GEOM.ly, 4))
         with pytest.raises(TuningError, match="non-positive fitted slope"):
-            balance_experiment(rt, widths=[6, 12, 18], m_points=[0, 6],
+            balance_experiment(rt, widths=[2, 18, 20], m_points=[0, 6],
                                warmup=0, rounds=1)
 
 

@@ -9,13 +9,15 @@ t_exe = max(8e-4, 6e-4 + 2e-4) + 5e-5 = 8.5e-4.
 """
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from lbhx.errors import ConfigurationError, TuningError
 from lbhx.perf_model import (SAMPLE_PROFILES, PerfProfile, autotune,
-                             format_profile, load_profile, mlups, optimal_m,
-                             parse_profile, predict, save_profile, whatif)
+                             format_profile, load_profile, measure_profile,
+                             mlups, optimal_m, parse_profile, predict,
+                             save_profile, whatif)
 
 REF = PerfProfile(tau_d=1e-9, tau_h=3e-9, tau_c=2e-4, t_swap=5e-5)
 
@@ -96,6 +98,11 @@ def test_profile_roundtrip(tmp_path):
     path = tmp_path / "p.txt"
     save_profile(path, prof)
     assert load_profile(path) == prof
+    # profiles saved by the earlier median-based tuner may carry this line
+    old = parse_profile(format_profile(prof)
+                        + "meta.unstable = host@192:cv=0.071\n")
+    assert old == prof
+    assert old.meta == (("source", "test"), ("unstable", "host@192:cv=0.071"))
 
 
 def test_parse_profile_errors_name_the_line():
@@ -116,14 +123,18 @@ def test_sample_profiles_are_usable():
 
 
 class SyntheticRunner:
-    """TuningRunner with exact, noiseless-by-default linear costs."""
+    """TuningRunner with exact, noiseless-by-default linear costs, plus one
+    extra measurand of known cost (`time_extra`).  `calls` logs every
+    sample in the order taken."""
 
     def __init__(self, tau_d=2e-9, tau_h=8e-9, tau_c=1e-4, t_swap=2e-5,
-                 noise=0.0, seed=99):
+                 t_extra=3e-4, noise=0.0, seed=99):
         self.p = PerfProfile(tau_d=tau_d, tau_h=tau_h, tau_c=tau_c,
                              t_swap=t_swap)
+        self.t_extra = t_extra
         self.noise = noise
         self.rng = random.Random(seed)
+        self.calls = []
 
     def _jitter(self, t):
         return t * (1 + self.noise * self.rng.uniform(-1, 1))
@@ -132,19 +143,43 @@ class SyntheticRunner:
         return [1000, 2000, 4000, 8000]
 
     def time_compute(self, pool, sites):
+        self.calls.append((pool, sites))
         tau = self.p.tau_d if pool == "device" else self.p.tau_h
         return self._jitter(tau * sites)
 
     def time_comm(self):
+        self.calls.append("comm")
         return self._jitter(self.p.tau_c)
 
     def time_swap(self):
+        self.calls.append("swap")
         return self._jitter(self.p.t_swap)
 
+    def time_extra(self):
+        self.calls.append("extra")
+        return self._jitter(self.t_extra)
 
-def test_autotune_recovers_synthetic_parameters():
+
+def _autotune(runner, rounds):
+    return autotune(runner, warmup=1, iters=rounds)
+
+
+def _with_extra(runner, rounds):
+    """measure_profile with one extra measurand; checks its best time."""
+    prof, (t_extra,) = measure_profile(runner, warmup=1, rounds=rounds,
+                                       extra=[runner.time_extra])
+    assert t_extra == pytest.approx(runner.t_extra, rel=0.05)
+    return prof
+
+
+SAMPLERS = pytest.mark.parametrize("sample", [_autotune, _with_extra],
+                                   ids=["autotune", "one_extra"])
+
+
+@SAMPLERS
+def test_autotune_recovers_synthetic_parameters(sample):
     runner = SyntheticRunner(noise=0.01)
-    prof = autotune(runner, warmup=1, iters=15)
+    prof = sample(runner, 15)
     for key in ("tau_d", "tau_h", "tau_c", "t_swap"):
         assert getattr(prof, key) == pytest.approx(getattr(runner.p, key),
                                                    rel=0.05), key
@@ -152,17 +187,53 @@ def test_autotune_recovers_synthetic_parameters():
     assert abs(optimal_m(prof, lx, ly) - optimal_m(runner.p, lx, ly)) <= 1
 
 
-def test_autotune_rejects_degenerate_runners():
+@SAMPLERS
+def test_autotune_rejects_degenerate_runners(sample):
     class TwoSizes(SyntheticRunner):
         def compute_sizes(self, pool):
             return [1000, 2000]
 
-    with pytest.raises(TuningError):
-        autotune(TwoSizes(), warmup=0, iters=3)
+    with pytest.raises(TuningError, match="need >= 3"):
+        sample(TwoSizes(), 3)
 
     class NonMonotone(SyntheticRunner):
         def time_compute(self, pool, sites):
             return self.p.tau_d * (10000 - sites)
 
-    with pytest.raises(TuningError):
-        autotune(NonMonotone(), warmup=0, iters=3)
+    with pytest.raises(TuningError, match="non-monotone"):
+        sample(NonMonotone(), 3)
+
+    class NegativeSlope(SyntheticRunner):
+        """No step falls by 20% or more, the last time exceeds
+        the first, and yet the least-squares slope is negative."""
+
+        def compute_sizes(self, pool):
+            return [1000, 9000, 10000]
+
+        def time_compute(self, pool, sites):
+            return {1000: 1e-3, 9000: 0.85e-3, 10000: 1.0001e-3}[sites]
+
+    with pytest.raises(TuningError, match="non-positive fitted slope"):
+        sample(NegativeSlope(), 3)
+
+    with pytest.raises(ConfigurationError, match="at least 1 round"):
+        sample(SyntheticRunner(), 0)
+
+
+def test_measure_profile_samples_each_measurand_in_a_seeded_order():
+    warmup, rounds = 2, 5
+    logs = []
+    for _ in range(2):
+        runner = SyntheticRunner()
+        measure_profile(runner, warmup=warmup, rounds=rounds,
+                        extra=[runner.time_extra])
+        logs.append(runner.calls)
+    assert logs[0] == logs[1]
+    counts = Counter(logs[0])
+    assert len(counts) == 2 * 4 + 3  # both pools' sizes, comm, swap, extra
+    assert set(counts.values()) == {warmup + 2 * rounds}
+    timed = logs[0][warmup * len(counts):]
+    assert timed[0::2] == timed[1::2]  # an untimed twin before each sample
+    orders = {tuple(timed[i:i + 2 * len(counts):2])
+              for i in range(0, len(timed), 2 * len(counts))}
+    assert len(orders) > 1  # reshuffled between rounds
