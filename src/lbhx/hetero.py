@@ -273,7 +273,7 @@ class HeteroRuntime:
 
 # -- auto-tuning harness -----------------------------------------------------
 
-#: Least duration, in seconds of the sample's clock, of one compute sample.
+#: Least duration of one compute sample per size, in seconds of its clock.
 SAMPLE_FLOOR = 2e-3
 
 
@@ -308,21 +308,25 @@ class HeteroTuningRunner:
     def compute_sizes(self, pool: str) -> list[int]:
         return [w * self.rt.geom.ly for w in self.widths]
 
-    def time_compute(self, pool: str, sites: int) -> float:
-        """Seconds per kernel step on `sites` sites: the step repeats until
-        the sample lasts SAMPLE_FLOOR, so that timer resolution and per-call
-        jitter are a small share of every sample."""
-        region = self._region(sites // self.rt.geom.ly)
+    def time_compute(self, pool: str, sizes: list[int]) -> list[float]:
+        """Seconds per kernel step at each of `sizes` (sites).  The sizes
+        take turns, one step each, until the sample lasts SAMPLE_FLOOR per
+        size: a change of host speed during the sample then reaches every
+        size alike, and timer resolution and per-call jitter are a small
+        share of every size's time."""
+        regions = [self._region(s // self.rt.geom.ly) for s in sizes]
         rt = self.rt
 
-        def body(clock) -> float:
-            calls, t0 = 0, clock()
-            while True:
-                rt._run_kernels(self._scratch, [region])
-                calls += 1
-                elapsed = clock() - t0
-                if elapsed >= SAMPLE_FLOOR:
-                    return elapsed / calls
+        def body(clock) -> list[float]:
+            spent, turns = [0.0] * len(regions), 0
+            t = clock()
+            while sum(spent) < SAMPLE_FLOOR * len(regions):
+                for i, region in enumerate(regions):
+                    rt._run_kernels(self._scratch, [region])
+                    t, t0 = clock(), t
+                    spent[i] += t - t0
+                turns += 1
+            return [s / turns for s in spent]
 
         if pool == "host":
             return body(time.perf_counter)
@@ -331,7 +335,7 @@ class HeteroTuningRunner:
             # accounting; no concurrency is exercised here, so sleeping the
             # padding out would only add noise
             cpu = rt._device_queue.submit(body, time.thread_time).result()
-            return cpu * rt.device_throttle
+            return [c * rt.device_throttle for c in cpu]
         raise ConfigurationError(f"unknown pool {pool!r}")
 
     def time_comm(self) -> float:

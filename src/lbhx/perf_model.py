@@ -18,13 +18,13 @@ recovers the four parameters from timed mini-benchmarks, sampled
 interleaved in a seeded shuffled order with an untimed twin before each
 timed sample; each estimate is the mean of the three fastest rounds.
 tau_h and tau_d are least-squares slopes of those estimates vs sites
-processed, tau_c and t_swap the estimates of one exchange and one swap.
+processed, where one sample times all of a pool's sizes in turns; tau_c and
+t_swap are the estimates of one exchange and one swap.
 """
 from __future__ import annotations
 
 import math
 import random
-import statistics
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Protocol, Sequence
@@ -126,8 +126,10 @@ class TuningRunner(Protocol):
     def compute_sizes(self, pool: str) -> list[int]:
         """Region sizes (sites) to sample on the given pool (host/device)."""
 
-    def time_compute(self, pool: str, sites: int) -> float:
-        """Seconds for one propagate+bc+collide iteration on `sites` sites."""
+    def time_compute(self, pool: str, sizes: list[int]) -> list[float]:
+        """Seconds for one propagate+bc+collide iteration at each of `sizes`
+        (sites), timed together so that host noise reaches every size
+        alike."""
 
     def time_comm(self) -> float:
         """Seconds for one inter-rank halo exchange."""
@@ -148,16 +150,18 @@ def measure_profile(runner: TuningRunner, *, warmup: int, rounds: int,
                     ) -> tuple[PerfProfile, list[float]]:
     """Measure a PerfProfile, and the best times of the `extra` measurands.
 
-    The measurands are each pool's compute at each of its
-    `runner.compute_sizes`, the halo exchange, the halo swap and every
-    `extra` callable (each returns the seconds it measured).  Each runs
-    `warmup` untimed times, then once per round, in an order reshuffled
+    The measurands are each pool's compute, timed at all of its
+    `runner.compute_sizes` in one sample, the halo exchange, the halo swap
+    and every `extra` callable (each returns the seconds it measured).  Each
+    runs `warmup` untimed times, then once per round, in an order reshuffled
     every round by a fixed seed.  Each timed sample follows an untimed twin,
     so it runs with caches and predictors in its own state, not the previous
-    measurand's.  A measurand's estimate is the mean of its three fastest
-    rounds: on a shared host interference only adds time, so the fastest
-    samples estimate the undisturbed cost (Chen & Revels, arXiv:1608.04295),
-    and shuffling removes the effect of what ran just before each sample.
+    measurand's.  Each estimate (one per compute size) is the mean of the
+    three fastest rounds: on a shared host interference only adds time, so
+    the fastest samples estimate the undisturbed cost (Chen & Revels,
+    arXiv:1608.04295), and shuffling removes the effect of what ran just
+    before each sample.  A size that is slower than another in every
+    round stays slower in its estimate.
 
     Raises TuningError for degenerate inputs: fewer than 3 positive region
     sizes per pool, compute times that fall with size, or a non-positive
@@ -171,13 +175,13 @@ def measure_profile(runner: TuningRunner, *, warmup: int, rounds: int,
                 f"{pool} pool: need >= 3 positive region sizes, got {pool_sizes}")
     if rounds < 1:
         raise ConfigurationError(f"tuning needs at least 1 round, got {rounds}")
-    measurands = [partial(runner.time_compute, pool, s)
-                  for pool, pool_sizes in sizes.items() for s in pool_sizes]
+    measurands = [partial(runner.time_compute, pool, pool_sizes)
+                  for pool, pool_sizes in sizes.items()]
     measurands += [runner.time_comm, runner.time_swap, *extra]
     for fn in measurands:
         for _ in range(warmup):
             fn()
-    samples: list[list[float]] = [[] for _ in measurands]
+    samples: list[list] = [[] for _ in measurands]
     order = list(range(len(measurands)))
     shuffler = random.Random(20240)
     for _ in range(rounds):
@@ -185,11 +189,10 @@ def measure_profile(runner: TuningRunner, *, warmup: int, rounds: int,
         for i in order:
             measurands[i]()  # the untimed twin
             samples[i].append(measurands[i]())
-    best = iter([statistics.fmean(sorted(s)[:3]) for s in samples])
+    best = [np.sort(s, axis=0)[:3].mean(axis=0).tolist() for s in samples]
 
     slopes: dict[str, float] = {}
-    for pool, pool_sizes in sizes.items():
-        times = [next(best) for _ in pool_sizes]
+    for (pool, pool_sizes), times in zip(sizes.items(), best):
         # degenerate if the trend is not increasing overall, or any step
         # decreases by more than measurement jitter can explain
         if times[-1] <= times[0] or any(
@@ -201,11 +204,11 @@ def measure_profile(runner: TuningRunner, *, warmup: int, rounds: int,
         if slopes[pool] <= 0:
             raise TuningError(
                 f"{pool} pool: non-positive fitted slope {slopes[pool]}")
-    tau_c, t_swap = next(best), next(best)
+    tau_c, t_swap, *extra_best = best[len(sizes):]
     profile = PerfProfile(tau_d=slopes["device"], tau_h=slopes["host"],
                           tau_c=max(tau_c, 0.0), t_swap=max(t_swap, 0.0),
                           meta=(("source", "measure_profile"),))
-    return profile, list(best)
+    return profile, extra_best
 
 
 def autotune(runner: TuningRunner, *, warmup: int = 5,

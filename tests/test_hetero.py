@@ -145,12 +145,13 @@ def test_tuning_runner_surfaces():
         runner = HeteroTuningRunner(rt)
         sizes = runner.compute_sizes("device")
         assert len(sizes) >= 3 and sizes == sorted(sizes)
-        assert runner.time_compute("host", sizes[0]) > 0
-        assert runner.time_compute("device", sizes[0]) > 0
+        for pool in ("host", "device"):
+            times = runner.time_compute(pool, sizes)
+            assert len(times) == len(sizes) and min(times) > 0
         assert runner.time_comm() >= 0
         assert runner.time_swap() >= 0
         with pytest.raises(ConfigurationError):
-            runner.time_compute("gpu", sizes[0])
+            runner.time_compute("gpu", sizes)
         with pytest.raises(ConfigurationError):
             HeteroTuningRunner(rt, widths=[GEOM.lx + 1])
 
@@ -162,13 +163,19 @@ def test_compute_samples_last_the_floor(monkeypatch, pool):
     with HeteroRuntime(model, ModelParams(tau=0.8), DESC, GEOM) as rt:
         rt.load_state(random_state(model, GEOM.lx, GEOM.ly, 2))
         runner = HeteroTuningRunner(rt)
-        calls = []
+        widths = []
         run_kernels = rt._run_kernels
-        monkeypatch.setattr(rt, "_run_kernels",
-                            lambda *a: calls.append(run_kernels(*a)))
-        per_call = runner.time_compute(pool, runner.compute_sizes(pool)[0])
-    assert len(calls) >= 2
-    assert per_call * len(calls) >= 0.02 * (1 - 1e-9)
+
+        def logged(buf, regions):
+            widths.append(regions[0].x_end - regions[0].x_begin)
+            run_kernels(buf, regions)
+
+        monkeypatch.setattr(rt, "_run_kernels", logged)
+        per_call = runner.time_compute(pool, runner.compute_sizes(pool))
+    turns = len(widths) // len(runner.widths)
+    assert turns >= 2
+    assert widths == runner.widths * turns  # the sizes take turns
+    assert sum(per_call) * turns >= 0.02 * len(runner.widths) * (1 - 1e-9)
 
 
 def test_balance_experiment_rejects_a_non_positive_slope(monkeypatch):
@@ -176,7 +183,7 @@ def test_balance_experiment_rejects_a_non_positive_slope(monkeypatch):
     slope over uneven widths (2, 18 and 20 columns of 32 rows)."""
     times = {64: 1e-3, 576: 0.85e-3, 640: 1.0001e-3}
     monkeypatch.setattr(HeteroTuningRunner, "time_compute",
-                        lambda self, pool, sites: times[sites])
+                        lambda self, pool, sizes: [times[s] for s in sizes])
     model = builtin_model("d2q9")
     with HeteroRuntime(model, ModelParams(tau=0.8), DESC, GEOM) as rt:
         rt.load_state(random_state(model, GEOM.lx, GEOM.ly, 4))
@@ -192,7 +199,7 @@ def test_tuning_leaves_state_untouched():
         rt.load_state(init)
         runner = HeteroTuningRunner(rt)
         for _ in range(2):
-            runner.time_compute("host", runner.compute_sizes("host")[0])
+            runner.time_compute("host", runner.compute_sizes("host"))
             runner.time_comm()
         plan = make_partition(GEOM, 0)
         assert np.array_equal(rt.state(plan), init)

@@ -142,10 +142,10 @@ class SyntheticRunner:
     def compute_sizes(self, pool):
         return [1000, 2000, 4000, 8000]
 
-    def time_compute(self, pool, sites):
-        self.calls.append((pool, sites))
+    def time_compute(self, pool, sizes):
+        self.calls.append((pool, tuple(sizes)))
         tau = self.p.tau_d if pool == "device" else self.p.tau_h
-        return self._jitter(tau * sites)
+        return [self._jitter(tau * sites) for sites in sizes]
 
     def time_comm(self):
         self.calls.append("comm")
@@ -197,8 +197,8 @@ def test_autotune_rejects_degenerate_runners(sample):
         sample(TwoSizes(), 3)
 
     class NonMonotone(SyntheticRunner):
-        def time_compute(self, pool, sites):
-            return self.p.tau_d * (10000 - sites)
+        def time_compute(self, pool, sizes):
+            return [self.p.tau_d * (10000 - sites) for sites in sizes]
 
     with pytest.raises(TuningError, match="non-monotone"):
         sample(NonMonotone(), 3)
@@ -210,8 +210,9 @@ def test_autotune_rejects_degenerate_runners(sample):
         def compute_sizes(self, pool):
             return [1000, 9000, 10000]
 
-        def time_compute(self, pool, sites):
-            return {1000: 1e-3, 9000: 0.85e-3, 10000: 1.0001e-3}[sites]
+        def time_compute(self, pool, sizes):
+            times = {1000: 1e-3, 9000: 0.85e-3, 10000: 1.0001e-3}
+            return [times[sites] for sites in sizes]
 
     with pytest.raises(TuningError, match="non-positive fitted slope"):
         sample(NegativeSlope(), 3)
@@ -230,7 +231,7 @@ def test_measure_profile_samples_each_measurand_in_a_seeded_order():
         logs.append(runner.calls)
     assert logs[0] == logs[1]
     counts = Counter(logs[0])
-    assert len(counts) == 2 * 4 + 3  # both pools' sizes, comm, swap, extra
+    assert len(counts) == 2 + 3  # each pool's compute, comm, swap, extra
     assert set(counts.values()) == {warmup + 2 * rounds}
     timed = logs[0][warmup * len(counts):]
     assert timed[0::2] == timed[1::2]  # an untimed twin before each sample
