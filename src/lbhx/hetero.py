@@ -317,24 +317,29 @@ class HeteroTuningRunner:
         regions = [self._region(s // self.rt.geom.ly) for s in sizes]
         rt = self.rt
 
-        def body(clock) -> list[float]:
+        def body(clock, idle: float) -> list[float]:
             spent, turns = [0.0] * len(regions), 0
-            t = clock()
             while sum(spent) < SAMPLE_FLOOR * len(regions):
                 for i, region in enumerate(regions):
+                    t0 = clock()
                     rt._run_kernels(self._scratch, [region])
-                    t, t0 = clock(), t
-                    spent[i] += t - t0
+                    dt = clock() - t0
+                    spent[i] += dt
+                    if idle:
+                        time.sleep(idle * dt)
                 turns += 1
             return [s / turns for s in spent]
 
         if pool == "host":
-            return body(time.perf_counter)
+            return body(time.perf_counter, 0.0)
         if pool == "device":
             # device cost is thread CPU time x throttle, matching the step's
-            # accounting; no concurrency is exercised here, so sleeping the
-            # padding out would only add noise
-            cpu = rt._device_queue.submit(body, time.thread_time).result()
+            # accounting.  In a step the device thread then idles for
+            # (throttle - 1) x its CPU time while the step pads out its busy
+            # window, and its next step starts from that idle state; each
+            # sampled step idles the same, so it costs what a step's does
+            cpu = rt._device_queue.submit(
+                body, time.thread_time, rt.device_throttle - 1).result()
             return [c * rt.device_throttle for c in cpu]
         raise ConfigurationError(f"unknown pool {pool!r}")
 

@@ -158,9 +158,15 @@ def test_tuning_runner_surfaces():
 
 @pytest.mark.parametrize("pool", ["host", "device"])
 def test_compute_samples_last_the_floor(monkeypatch, pool):
+    """The sizes take turns until the sample lasts SAMPLE_FLOOR per size;
+    on the device each step then idles (throttle - 1) x its CPU time."""
     monkeypatch.setattr(hetero, "SAMPLE_FLOOR", 0.02)
+    sleeps = []
+    monkeypatch.setattr(hetero.time, "sleep", sleeps.append)
+    throttle = 3.0
     model = builtin_model("d2q9")
-    with HeteroRuntime(model, ModelParams(tau=0.8), DESC, GEOM) as rt:
+    with HeteroRuntime(model, ModelParams(tau=0.8), DESC, GEOM,
+                       device_throttle=throttle) as rt:
         rt.load_state(random_state(model, GEOM.lx, GEOM.ly, 2))
         runner = HeteroTuningRunner(rt)
         widths = []
@@ -175,7 +181,13 @@ def test_compute_samples_last_the_floor(monkeypatch, pool):
     turns = len(widths) // len(runner.widths)
     assert turns >= 2
     assert widths == runner.widths * turns  # the sizes take turns
-    assert sum(per_call) * turns >= 0.02 * len(runner.widths) * (1 - 1e-9)
+    busy = sum(per_call) * turns / (throttle if pool == "device" else 1.0)
+    assert busy >= 0.02 * len(runner.widths) * (1 - 1e-9)
+    if pool == "device":
+        assert len(sleeps) == len(widths)
+        assert sum(sleeps) == pytest.approx((throttle - 1) * busy)
+    else:
+        assert sleeps == []
 
 
 def test_balance_experiment_rejects_a_non_positive_slope(monkeypatch):
