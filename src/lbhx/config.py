@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .kernels import PERIODIC, BoundaryPolicy
@@ -29,7 +29,6 @@ DEFAULTS: dict[str, str] = {
     "pool.device_throttle": "1",
     "run.iterations": "10",
     "run.seed": "1",
-    "ranks.endpoints": "",
 }
 
 
@@ -112,7 +111,6 @@ class RunConfig:
     device_throttle: float
     iterations: int
     seed: int
-    endpoints: list[str] = field(default_factory=list)
 
     @property
     def geometry(self) -> Geometry:
@@ -145,8 +143,6 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
         raise ConfigurationError(
             f"pool.device_throttle must be a finite number >= 1, "
             f"got {values['pool.device_throttle']!r}")
-    endpoints = [e.strip() for e in values["ranks.endpoints"].split(",")
-                 if e.strip()]
     iterations = _as_int(values, "run.iterations")
     if iterations < 0:
         raise ConfigurationError("run.iterations must be >= 0")
@@ -161,5 +157,4 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
         device_throttle=throttle,
         iterations=iterations,
         seed=_as_int(values, "run.seed"),
-        endpoints=endpoints,
     )

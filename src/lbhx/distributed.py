@@ -8,10 +8,10 @@ serialization of H columns as little-endian float64, framed as (tag u32,
 length u64, payload); they are always sourced from host-resident buffers.
 
 Two transports ship: in-process queues (tests, single-process runs) and TCP
-sockets (rendezvous via a host:port list).  `run_distributed` runs rank 0 on
-the calling thread; over TCP the other ranks are processes forked from it,
-each with its own interpreter lock, and over the in-process queues they are
-threads.
+sockets over loopback, whose links the calling thread makes in turn before
+any rank forks.  `run_distributed` runs rank 0 on the calling thread; over
+TCP the other ranks are processes forked from it, each with its own
+interpreter lock, and over the in-process queues they are threads.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ import resource
 import socket
 import struct
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -157,63 +156,11 @@ class InMemoryTransport(Transport):
 
 
 class TcpTransport(Transport):
-    """One socket per unordered rank pair, rendezvous via an endpoint list."""
+    """One connected socket per neighbour; the links come from `_tcp_links`."""
 
-    def __init__(self, rank: int, endpoints: list[str], peers: set[int],
-                 listener: socket.socket, connect_timeout: float = 15.0):
-        """`listener` is this rank's socket, already bound to
-        `endpoints[rank]` and listening; the transport closes it once every
-        higher-numbered peer has dialed in."""
+    def __init__(self, rank: int, socks: dict[int, socket.socket]):
         super().__init__(rank)
-        self.endpoints = endpoints
-        self._socks: dict[int, socket.socket] = {}
-        higher = sorted(p for p in peers if p > rank)
-        lower = sorted(p for p in peers if p < rank)
-        # lower-numbered ranks accept, higher-numbered ranks dial
-        accepted = 0
-        listener.settimeout(connect_timeout)
-        try:
-            for peer in lower:
-                self._socks[peer] = self._dial(self.endpoints[peer],
-                                               connect_timeout)
-            while accepted < len(higher):
-                conn, _addr = listener.accept()
-                conn.settimeout(IO_TIMEOUT)
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                peer = struct.unpack(
-                    "<I", _recv_exact(conn, 4, self.rank, -1, "handshake"))[0]
-                self._socks[peer] = conn
-                accepted += 1
-        except TimeoutError:
-            raise CommunicationFault(
-                f"rank {self.rank}: {len(higher) - accepted} peer(s) did not "
-                f"dial within {connect_timeout}s (phase: rendezvous)") from None
-        finally:
-            listener.close()
-
-    @staticmethod
-    def _parse(endpoint: str) -> tuple[str, int]:
-        host, _, port = endpoint.rpartition(":")
-        if not host or not port.isdigit():
-            raise ConfigurationError(f"bad endpoint {endpoint!r}")
-        return host, int(port)
-
-    def _dial(self, endpoint: str, timeout: float) -> socket.socket:
-        host, port = self._parse(endpoint)
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                sock = socket.create_connection((host, port), timeout=2.0)
-                sock.settimeout(IO_TIMEOUT)
-                # a step's halos are back-to-back writes; Nagle delays them
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                sock.sendall(struct.pack("<I", self.rank))
-                return sock
-            except OSError:
-                if time.monotonic() > deadline:
-                    raise CommunicationFault(
-                        f"rank {self.rank}: cannot reach {endpoint}") from None
-                time.sleep(0.05)
+        self._socks = socks
 
     def send(self, peer: int, tag: int, payload: bytes) -> None:
         try:
@@ -246,6 +193,44 @@ class TcpTransport(Transport):
                 sock.close()
             except OSError:
                 pass
+
+
+def _tcp_links(n_ranks: int) -> list[dict[int, socket.socket]]:
+    """Connect each neighbour pair of the ring over loopback; returns every
+    rank's {peer: socket}, with one socket per pair, so a 2-rank ring has
+    one link.
+
+    The links are made in turn on the calling thread, before any rank
+    forks: one listener accepts each link right after it is dialled.  If a
+    link cannot be made, every socket made so far is closed.
+    """
+    socks: list[dict[int, socket.socket]] = [{} for _ in range(n_ranks)]
+    made: list[socket.socket] = []
+    what = "open a loopback listener"
+    try:
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(IO_TIMEOUT)
+            for a in range(n_ranks if n_ranks > 2 else n_ranks - 1):
+                b = (a + 1) % n_ranks
+                what = f"link rank {a} with rank {b}"
+                dialled = socket.create_connection(listener.getsockname(),
+                                                   timeout=IO_TIMEOUT)
+                made.append(dialled)
+                accepted = listener.accept()[0]
+                made.append(accepted)
+                if accepted.getpeername() != dialled.getsockname():
+                    raise ConnectionError("accepted another process's link")
+                for sock in (dialled, accepted):
+                    sock.settimeout(IO_TIMEOUT)
+                    # a step's halos are back-to-back writes; Nagle delays them
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                socks[a][b], socks[b][a] = dialled, accepted
+    except OSError as exc:
+        for sock in made:
+            sock.close()
+        raise CommunicationFault(
+            f"cannot {what} (phase: link set-up): {exc}") from None
+    return socks
 
 
 def _recv_exact(sock: socket.socket, count: int, rank: int, peer: int,
@@ -439,11 +424,12 @@ def _run_ranks(bodies: list, transports: list[Transport],
     """Run rank 0 on the calling thread and every other rank in a forked
     child (`fork`) or a thread; returns each rank's `_outcome`.
 
-    Forking happens here, on the calling thread, once the rendezvous
-    threads have joined; each rank starts its device thread only inside
-    its body.  The caller closes its copies of the children's links before
-    it runs rank 0, so a child that dies reads to its neighbours as a
-    closed link.
+    Forking happens here, on the calling thread, which has started no
+    thread yet; each rank starts its device thread only inside its body.
+    The caller closes its copies of the children's links before it runs
+    rank 0, so a child that dies reads to its neighbours as a closed link.
+    A failed fork closes the links of the ranks not yet launched, so the
+    ranks already forked read closed links and end.
     """
     outcomes: list = [None] * len(bodies)
     children, threads = [], []
@@ -454,9 +440,14 @@ def _run_ranks(bodies: list, transports: list[Transport],
     try:
         for rank in range(1, len(bodies)):
             if fork:
-                children.append(
-                    (rank, *_fork_rank(bodies[rank], transports[rank],
-                                       transports)))
+                try:
+                    children.append(
+                        (rank, *_fork_rank(bodies[rank], transports[rank],
+                                           transports)))
+                except OSError as exc:
+                    raise CommunicationFault(
+                        f"rank {rank}: cannot fork (phase: launch): "
+                        f"{exc}") from None
                 transports[rank].close()
             else:
                 th = threading.Thread(target=in_thread, args=(rank,),
@@ -465,7 +456,11 @@ def _run_ranks(bodies: list, transports: list[Transport],
                 threads.append(th)
         outcomes[0] = _outcome(bodies[0])
     finally:
-        transports[0].close()  # already closed, unless rank 0 never ran
+        # rank 0's links (already closed if it ran) and those of any rank
+        # not launched
+        launched = 1 + len(children) + len(threads)
+        for transport in (transports[0], *transports[launched:]):
+            transport.close()
         for th in threads:
             th.join()
         for rank, pid, read_fd in children:
@@ -488,7 +483,6 @@ def _checked_results(outcomes: list) -> list[RankResult]:
 
 
 def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
-                    endpoints: list[str] | None = None,
                     initial_state: np.ndarray | None = None, profile=None):
     """Run the configured simulation on n ranks and merge the results.
 
@@ -514,23 +508,21 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
     if initial_state is None:
         initial_state = random_state(model, cfg.lx, cfg.ly, cfg.seed)
 
-    if transport_kind == "in_memory":
-        fabric = InMemoryFabric(n_ranks)
-        transports = [fabric.transport(r) for r in range(n_ranks)]
-    elif transport_kind == "tcp":
-        endpoints = endpoints or cfg.endpoints or None
-        if endpoints is not None and len(endpoints) != n_ranks:
-            raise ConfigurationError(
-                f"need {n_ranks} endpoints, got {len(endpoints)}")
-        transports = _tcp_rendezvous(layouts, endpoints)
-    else:
-        raise ConfigurationError(f"unknown transport {transport_kind!r}")
-
     # anonymous and shared, so forked ranks write their finals in place
     shape = (model.Q, cfg.lx, cfg.ly)
     merged = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
                            dtype=np.float64).reshape(shape)
     columns = [np.s_[:, lay.x0:lay.x0 + lay.width, :] for lay in layouts]
+    # the links come last, so that little can fail before _run_ranks owns
+    # them and closes them whatever happens
+    if transport_kind == "in_memory":
+        fabric = InMemoryFabric(n_ranks)
+        transports = [fabric.transport(r) for r in range(n_ranks)]
+    elif transport_kind == "tcp":
+        transports = [TcpTransport(rank, socks)
+                      for rank, socks in enumerate(_tcp_links(n_ranks))]
+    else:
+        raise ConfigurationError(f"unknown transport {transport_kind!r}")
     bodies = [partial(_rank_body, cfg, lay, m, transport,
                       initial_state[cols], merged[cols])
               for lay, m, transport, cols
@@ -559,46 +551,3 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
                                      if r.iteration_times else 0.0),
                        peak_rss_mb=r.peak_rss_mb)
     return report, merged, results
-
-
-def _tcp_rendezvous(layouts: list[RankLayout],
-                    endpoints: list[str] | None = None) -> list[TcpTransport]:
-    """Build all rank transports concurrently (they block on each other).
-
-    Every rank's listener is bound before any rank dials.  Without
-    endpoints, each listens on a loopback port the system picks, so no
-    other process can take a port between choosing and binding it.
-    """
-    addrs = ([TcpTransport._parse(e) for e in endpoints] if endpoints
-             else [("127.0.0.1", 0)] * len(layouts))
-    listeners: list[socket.socket] = []
-    for rank, (host, port) in enumerate(addrs):
-        try:
-            listeners.append(socket.create_server((host, port)))
-        except OSError as exc:
-            for sock in listeners:
-                sock.close()
-            raise CommunicationFault(
-                f"rank {rank}: cannot listen on {host}:{port} "
-                f"(phase: rendezvous): {exc}") from None
-    endpoints = ["%s:%d" % sock.getsockname()[:2] for sock in listeners]
-    transports: list = [None] * len(layouts)
-    errors: list = []
-
-    def build(lay: RankLayout):
-        try:
-            peers = {lay.left, lay.right} - {lay.rank}
-            transports[lay.rank] = TcpTransport(lay.rank, endpoints, peers,
-                                                listeners[lay.rank])
-        except Exception as exc:
-            errors.append((lay.rank, exc))
-
-    threads = [threading.Thread(target=build, args=(lay,)) for lay in layouts]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    if errors:
-        rank, exc = errors[0]
-        raise CommunicationFault(f"rank {rank} rendezvous failed") from exc
-    return transports

@@ -18,7 +18,6 @@ def test_defaults_build():
     assert cfg.layout.clustering == Clustering.INTERLEAVED
     assert cfg.geometry.halo == builtin_model(cfg.model_name).R == 1
     assert cfg.m == 0 and not cfg.autotune_m
-    assert cfg.endpoints == []
     q37 = build_run_config({**DEFAULTS, "model": "d2q37"})
     assert q37.geometry.halo == 3
 
@@ -83,11 +82,6 @@ def test_build_validation():
     assert cfg.layout.family == Family.SOA
 
 
-def test_endpoints_parsed():
-    cfg = _build(**{"ranks.endpoints": "127.0.0.1:7000, 127.0.0.1:7001"})
-    assert cfg.endpoints == ["127.0.0.1:7000", "127.0.0.1:7001"]
-
-
 #: a legal non-default value for every configuration key
 KNOB_VALUES = {
     "lattice.lx": "64",
@@ -103,7 +97,6 @@ KNOB_VALUES = {
     "pool.device_throttle": "2",
     "run.iterations": "3",
     "run.seed": "7",
-    "ranks.endpoints": "127.0.0.1:7000",
 }
 
 

@@ -1,5 +1,7 @@
 """Multi-rank tests: X decomposition, halo-exchange traffic accounting, and
 bit-exact agreement between 1-rank and n-rank runs over both transports."""
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -168,34 +170,184 @@ def test_unknown_transport_rejected():
         run_distributed(cfg, 2, "carrier_pigeon")
 
 
-def test_tcp_endpoint_count_checked():
-    cfg = _cfg(**{"lattice.lx": 48, "lattice.ly": 16, "run.iterations": 1})
-    with pytest.raises(ConfigurationError):
-        run_distributed(cfg, 2, "tcp", endpoints=["127.0.0.1:1"])
+def _tcp_transports(n_ranks):
+    import lbhx.distributed as D
+    return [D.TcpTransport(rank, socks)
+            for rank, socks in enumerate(D._tcp_links(n_ranks))]
 
 
-def test_tcp_endpoint_in_use_names_rank():
-    """Every listener is bound before any rank dials, so a taken port fails
-    the rendezvous at once, naming the rank."""
-    import socket
-    taken = socket.socket()
-    taken.bind(("127.0.0.1", 0))
-    taken.listen()
+@contextmanager
+def _closes_every_fd():
+    """Fail if the block leaves a descriptor open, or leaves a socket for
+    the garbage collector to close."""
+    import gc
+    import os
+    import warnings
+    before = sorted(os.listdir("/proc/self/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("n_ranks", [2, 3, 4])
+def test_tcp_links_join_each_neighbour_pair_once(monkeypatch, n_ranks):
+    """Every rank holds one socket per neighbour, each neighbour pair
+    shares one link (so a 2-rank ring has one), and bytes sent on one end
+    of a link arrive on the other.  Set-up starts no thread."""
+    import threading
+    import lbhx.distributed as D
+
+    def no_thread(self):
+        raise AssertionError("link set-up started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    links = D._tcp_links(n_ranks)
     try:
-        endpoints = ["127.0.0.1:%d" % taken.getsockname()[1]] * 2
-        with pytest.raises(CommunicationFault, match="rank 0: cannot listen"):
-            run_distributed(_cfg(**{"lattice.lx": 48, "lattice.ly": 16}), 2,
-                            "tcp", endpoints=endpoints)
+        for lay, socks in zip(decompose_x(2 * n_ranks, n_ranks, halo=1),
+                              links):
+            assert set(socks) == {lay.left, lay.right}
+        ends = [sock for socks in links for sock in socks.values()]
+        n_links = n_ranks if n_ranks > 2 else 1
+        assert len({sock.fileno() for sock in ends}) == len(ends)
+        assert len(ends) == 2 * n_links
+        for a, socks in enumerate(links):
+            for b, sock in socks.items():
+                sock.sendall(b"%d>%d" % (a, b))
+                assert links[b][a].recv(16) == b"%d>%d" % (a, b)
     finally:
-        taken.close()
+        for socks in links:
+            for sock in socks.values():
+                sock.close()
+
+
+def test_tcp_link_failure_names_both_ranks_and_leaks_nothing(monkeypatch):
+    """A link that cannot be made fails the run before any rank forks,
+    naming the link's ranks, and closes every socket made before it."""
+    import errno
+    import socket
+    import lbhx.distributed as D
+    real = socket.create_connection
+    calls = [0]
+
+    def create_connection(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 2:
+            raise ConnectionRefusedError(errno.ECONNREFUSED, "refused")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(D.socket, "create_connection", create_connection)
+    with _closes_every_fd(), pytest.raises(
+            CommunicationFault, match=r"cannot link rank 1 with rank 2 "
+            r"\(phase: link set-up\): .*refused"):
+        run_distributed(_ring_cfg(3), 3, "tcp")
+
+
+def test_tcp_link_set_up_rejects_a_stranger(monkeypatch):
+    """A connection from elsewhere that reaches the listener before a
+    link's own dial fails set-up, instead of joining a rank to it."""
+    import socket
+    import lbhx.distributed as D
+    real = socket.create_connection
+    strangers = []
+
+    def create_connection(address, *args, **kwargs):
+        if not strangers:
+            strangers.append(real(address))
+        return real(address, *args, **kwargs)
+
+    monkeypatch.setattr(D.socket, "create_connection", create_connection)
+    try:
+        with pytest.raises(CommunicationFault, match=r"cannot link rank 0 "
+                           r"with rank 1 \(phase: link set-up\): accepted "
+                           r"another process's link"):
+            D._tcp_links(2)
+    finally:
+        strangers[0].close()
+
+
+def test_failed_fork_exits_2_and_leaks_nothing(monkeypatch, capsys):
+    """The second of a 3-rank ring's forks fails: `lbhx scale` exits 2
+    naming the rank and phase, the rank already forked reads closed links
+    and is reaped, and every link is closed."""
+    import errno
+    import os
+    import time
+    import lbhx.distributed as D
+    from lbhx.cli import main
+    real_fork = os.fork
+    calls = [0]
+
+    def fork():
+        calls[0] += 1
+        if calls[0] == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(D.os, "fork", fork)
+    t0 = time.monotonic()
+    with _closes_every_fd():
+        code = main(["scale", "--ranks", "3", "--transport", "tcp",
+                     "--lattice-lx", "48", "--lattice-ly", "16",
+                     "--run-iterations", "4", "--hetero-m", "2"])
+    assert time.monotonic() - t0 < 10.0
+    assert code == 2
+    assert "rank 2: cannot fork (phase: launch)" in capsys.readouterr().err
+    assert calls[0] == 2
+
+
+def test_run_distributed_builds_tcp_transports_through_the_module_name(
+        monkeypatch):
+    """perfbench's traced ring wraps each rank's links by replacing
+    `lbhx.distributed.TcpTransport` with a factory of delegating
+    Transports; the run looks the name up per rank at call time and uses
+    only the Transport interface."""
+    import lbhx.distributed as D
+    real = D.TcpTransport
+    built = []
+
+    class Delegating(D.Transport):
+        def __init__(self, inner):
+            self.inner, self.rank = inner, inner.rank
+
+        bytes_sent = property(lambda self: self.inner.bytes_sent)
+        bytes_received = property(lambda self: self.inner.bytes_received)
+
+        def send(self, peer, tag, payload):
+            self.inner.send(peer, tag, payload)
+
+        def recv(self, peer, tag):
+            return self.inner.recv(peer, tag)
+
+        def reset_counters(self):
+            self.inner.reset_counters()
+
+        def close(self):
+            self.inner.close()
+
+    def factory(*args, **kwargs):
+        built.append(Delegating(real(*args, **kwargs)))
+        return built[-1]
+
+    monkeypatch.setattr(D, "TcpTransport", factory)
+    cfg = _ring_cfg()
+    init = random_state(builtin_model(cfg.model_name), cfg.lx, cfg.ly, 46)
+    _, merged, results = run_distributed(cfg, 2, "tcp", initial_state=init)
+    assert [t.rank for t in built] == [0, 1]
+    assert [r.bytes_sent for r in results] == [
+        2 * cfg.geometry.halo * cfg.ly * 9 * 8 * cfg.iterations] * 2
+    _, reference, _ = run_distributed(cfg, 1, "in_memory", initial_state=init)
+    assert np.array_equal(merged, reference)
 
 
 def test_tcp_links_disable_nagle():
     """Both ends of every link set TCP_NODELAY, so a step's back-to-back
     halo writes to one peer are not held for a delayed ACK."""
     import socket
-    import lbhx.distributed as D
-    transports = D._tcp_rendezvous(decompose_x(24, 3, halo=3))
+    transports = _tcp_transports(3)
     try:
         for t in transports:
             assert len(t._socks) == 2
@@ -230,8 +382,7 @@ def test_tcp_io_deadline_names_rank_peer_and_phase(monkeypatch):
     sends makes recv fail with a CommunicationFault instead of hanging."""
     import lbhx.distributed as D
     monkeypatch.setattr(D, "IO_TIMEOUT", 0.2)
-    layouts = decompose_x(24, 2, halo=3)
-    transports = D._tcp_rendezvous(layouts)
+    transports = _tcp_transports(2)
     try:
         for t in transports:
             assert t._socks[1 - t.rank].gettimeout() == 0.2

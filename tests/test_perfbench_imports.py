@@ -1,0 +1,52 @@
+"""The benchmark under `perfbench/` imports lbhx by name; a rename or a move
+out of `src/` turns its per-layer metrics into nulls without failing a run.
+These tests import every name it takes and run its kernel layer once."""
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_name_perfbench_imports_exists():
+    from lbhx.config import build_run_config, load_config
+    from lbhx.distributed import (RankLayout, TcpTransport, Transport,
+                                  exchange_rank_halos, run_distributed)
+    from lbhx.errors import TuningError
+    from lbhx.hetero import (HeteroTuningRunner, make_partition, random_state,
+                             runtime_from_config)
+    from lbhx.kernels import Region, apply_bc, collide_region, propagate_region
+    from lbhx.layouts import FieldBuffer
+    from lbhx.model import ModelParams, builtin_model
+    from lbhx.perf_model import autotune, optimal_m, predict
+
+    cfg = build_run_config(load_config(overrides={"run.iterations": "0"},
+                                       use_env=False))
+    assert cfg.iterations == 0
+
+
+def test_kernel_layer_runs_on_a_tiny_lattice(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("layers", "checks", "spans"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import layers
+    from checks import Checks
+    from spans import Tracer
+
+    from lbhx.config import build_run_config, load_config
+    from lbhx.hetero import random_state
+    from lbhx.model import builtin_model
+
+    cfg = build_run_config(load_config(
+        overrides={"lattice.lx": "8", "lattice.ly": "8"}, use_env=False))
+    state = random_state(builtin_model(cfg.model_name), cfg.lx, cfg.ly, 3)
+    checks = Checks()
+    metrics, buf = layers.kernel_loop(cfg, state, 0.0, Tracer(), checks,
+                                      periodic_y=True)
+    assert checks.attempted > 0 and checks.failed == 0, checks.lines
+    assert {"kernels.propagate_ms", "kernels.bc_ms",
+            "kernels.collide_ms"} <= set(metrics)
+    assert all(math.isfinite(v) for v in metrics.values()), metrics
+    assert np.isfinite(buf.canonical()).all()
