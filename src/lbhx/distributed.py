@@ -163,8 +163,17 @@ class TcpTransport(Transport):
         self._socks = socks
 
     def send(self, peer: int, tag: int, payload: bytes) -> None:
+        """Send the frame header and the payload in place, as one message
+        where the socket takes it whole."""
+        parts = [memoryview(_HEADER.pack(tag, len(payload))),
+                 memoryview(payload).cast("B")]
         try:
-            self._socks[peer].sendall(_HEADER.pack(tag, len(payload)) + payload)
+            while parts:
+                sent = self._socks[peer].sendmsg(parts)
+                while parts and sent >= len(parts[0]):
+                    sent -= len(parts.pop(0))
+                if sent:
+                    parts[0] = parts[0][sent:]
         except OSError as exc:
             raise _link_fault(exc)(
                 f"rank {self.rank}: send of tag {tag} to rank {peer} failed "
@@ -265,8 +274,10 @@ def _link_fault(exc: OSError) -> type[CommunicationFault]:
 
 # -- halo exchange -----------------------------------------------------------
 
-def _pack_columns(buf: FieldBuffer, x0: int, width: int) -> bytes:
-    return buf.columns(x0, width).astype("<f8", copy=False).tobytes()
+def _pack_columns(buf: FieldBuffer, x0: int, width: int) -> memoryview:
+    """The canonical little-endian bytes of `width` columns, uncopied."""
+    return memoryview(buf.columns(x0, width).astype("<f8", copy=False)
+                      ).cast("B")
 
 
 def _unpack_columns(buf: FieldBuffer, x0: int, width: int, payload: bytes) -> None:
@@ -498,10 +509,12 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
     import statistics
 
     from .hetero import random_state, rank_border_widths
+    from .kernels import load_kernel
     from .model import builtin_model
     from .perf_model import mlups
     from .report import BenchReport
 
+    load_kernel()  # a build failure ends the run here, not in a rank
     model = builtin_model(cfg.model_name)
     layouts = decompose_x(cfg.lx, n_ranks, halo=cfg.geometry.halo)
     ms = rank_border_widths(cfg, [lay.width for lay in layouts], profile)

@@ -8,18 +8,31 @@ strided (Q, alloc_LX, A, B) views of FieldBuffer.view, with y = a * B + b.
 `prv` holds the state and `nxt` is scratch.  A step runs the fused
 stream_collide_region(prv -> nxt) on each region, then FieldBuffer.swap, so
 the new state is in prv; outside the regions the new prv holds scratch.  The
-separate propagate(prv -> nxt), apply_bc(nxt) and collide(nxt -> prv) share
-its helpers and are its reference.
+fused step is one C function, `_kernel.c`, built on first use and called
+through ctypes, which releases the interpreter lock for the call.  The numpy
+kernels propagate(prv -> nxt), apply_bc(nxt) and collide(nxt -> prv) are its
+reference.
 
 The collide calls no BLAS routine.  Every reduction over populations is an
 elementwise accumulation in a fixed population order, so a site's result does
 not depend on the width or offset of the slice it is computed in, nor on BLAS
-blocking or thread count.  Bit-identity across layouts, border widths M and
-rank counts rests on this.
+blocking or thread count.  The C kernel performs each site's operations in
+the numpy kernels' order, and is built with `-ffp-contract=off` and without
+`-ffast-math`, so no multiply-add is fused and nothing is reassociated.
+Bit-identity across layouts, border widths M, rank counts and the two kernel
+forms rests on this.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -260,57 +273,40 @@ def equilibrium(model: LatticeModel, m: Macroscopics) -> np.ndarray:
     return feq
 
 
-#: Collide and the fused step run in blocks of about this many sites, so the
-#: temporaries of one block have a size-independent cache footprint; this
-#: keeps the measured per-site cost linear in region size, which the time
-#: model assumes.  A rank's host and device tracks share the interpreter lock,
-#: as do in-memory rank threads, so smaller blocks add lock hand-offs.
-BLOCK_SITES = 16384
-
-
-def _relax_blocks(model: LatticeModel, params: ModelParams, region: Region,
-                  dst: np.ndarray, load) -> None:
-    """Relax region into the view dst in blocks of about BLOCK_SITES sites:
-    BLOCK_SITES // rows columns crossed with each row rectangle.
-
-    load(block, f) returns the block's pre-collide populations; f is where
-    the block is relaxed: dst's block itself if its population slabs are
-    contiguous, else one staging array per call, then stored in dst.
-    """
-    width = max(1, BLOCK_SITES // region.rows)
-    stage = None
-    for x0 in range(region.x_begin, region.x_end, width):
-        xs = slice(x0, min(x0 + width, region.x_end))
-        for a_span, b_span in _row_blocks(region, dst.shape[3]):
-            out = f = dst[:, xs, a_span, b_span]
-            if not out[0].flags.c_contiguous:
-                if stage is None:
-                    stage = np.empty(model.Q * region.rows
-                                     * min(width, region.columns))
-                f = stage[:out.size].reshape(out.shape)
-            fin = load((xs, a_span, b_span), f)
-            rho, jx, jy = _density_momentum(model, fin)
-            _relax(model, fin, rho, jx, jy, 1.0 / params.tau, out=f)
-            if f is not out:
-                out[...] = f
+#: The fused step and the reference collide run in blocks of about this many
+#: sites.  The fused step stages a block's populations in one contiguous
+#: buffer (296 kB for D2Q37), which this keeps well within L2 while each
+#: population's runs stay long enough to stream.  A perfbench sweep on a
+#: 2-vCPU Xeon found 512-1024 fastest on bulk-q37, and 16384 about 20%
+#: slower on both workloads.
+BLOCK_SITES = 1024
 
 
 def collide_region(model: LatticeModel, params: ModelParams, buf: FieldBuffer,
                    region: Region, src: str = "nxt", dst: str = "prv") -> None:
     """Site-local BGK relaxation: out = (1 - omega) in + omega f_eq(in),
     omega = 1/tau, computed from rho and j without forming u or T; reads the
-    src view and writes the dst view, relaxing a staged block in place."""
+    src view and writes the dst view, in blocks of BLOCK_SITES // rows
+    columns crossed with each row rectangle.  A block whose population slabs
+    are not contiguous in dst is relaxed in one staging array and stored."""
     _check_region(buf, region)
-    fin = buf.view(src)
-
-    def load(block, f):
-        block_in = fin[(slice(None),) + block]
-        if block_in[0].flags.c_contiguous:
-            return block_in
-        f[...] = block_in
-        return f
-
-    _relax_blocks(model, params, region, buf.view(dst), load)
+    fin, fout = buf.view(src), buf.view(dst)
+    width = max(1, BLOCK_SITES // region.rows)
+    stage = np.empty(model.Q * region.rows * min(width, region.columns))
+    for x0 in range(region.x_begin, region.x_end, width):
+        xs = slice(x0, min(x0 + width, region.x_end))
+        for a_span, b_span in _row_blocks(region, fout.shape[3]):
+            block_in = fin[:, xs, a_span, b_span]
+            out = f = fout[:, xs, a_span, b_span]
+            if not out[0].flags.c_contiguous:
+                f = stage[:out.size].reshape(out.shape)
+            if not block_in[0].flags.c_contiguous:
+                f[...] = block_in
+                block_in = f
+            rho, jx, jy = _density_momentum(model, block_in)
+            _relax(model, block_in, rho, jx, jy, 1.0 / params.tau, out=f)
+            if f is not out:
+                out[...] = f
 
 
 def apply_bc(model: LatticeModel, buf: FieldBuffer, policy: BoundaryPolicy,
@@ -335,26 +331,142 @@ def apply_bc(model: LatticeModel, buf: FieldBuffer, policy: BoundaryPolicy,
                      nxt[:, xs, a_span, b_span])
 
 
+#: The command that builds `_kernel.c`; the output and source paths are
+#: appended.  `-ffp-contract=off` and the absence of `-ffast-math` and
+#: `-Ofast` keep each value's IEEE operation sequence that of the numpy
+#: kernels.
+BUILD = ("gcc", "-O3", "-march=native", "-ffp-contract=off", "-fPIC",
+         "-shared")
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+#: lbhx_stream_collide's parameters, in the order of its C signature
+_ARGTYPES = ([_PTR] * 2                  # prv, nxt
+             + [_I64] * 6                # sp, sx, sa, sb, nb, ly
+             + [_I64] * 4                # x0, x1, y0, y1
+             + [ctypes.c_int, _I64]      # walls, block_sites
+             + [_I64] + [_PTR] * 3       # q, cx, cy, opposite
+             + [_I64] + [_PTR] * 4       # npairs, pair_p, pair_q, pair_w,
+                                         # pair_wcs
+             + [_F64] * 3)               # c_a, c_g, om1
+
+
+def _cpu_flags() -> bytes:
+    """The host CPU's flags line, which decides what -march=native emits."""
+    try:
+        with open("/proc/cpuinfo", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"flags"):
+                    return line
+    except OSError:
+        pass
+    return platform.machine().encode()
+
+
+def _object_path(source: bytes) -> Path:
+    """Where the kernel built from `source` is cached: per user, under
+    $XDG_CACHE_HOME/lbhx or ~/.cache/lbhx, named by the SHA-256 of the
+    source, the build command and the CPU flags."""
+    cache = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    key = hashlib.sha256(b"\0".join(
+        (source, " ".join(BUILD).encode(), _cpu_flags())))
+    return Path(cache) / "lbhx" / f"kernel-{key.hexdigest()}.so"
+
+
+def _build(path: Path) -> None:
+    """Compile the kernel in a temporary directory beside `path`, then move
+    it to `path`, so that concurrent builds each leave a whole object."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = tempfile.TemporaryDirectory(dir=path.parent)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write the kernel cache {path.parent}: {exc}") from None
+    with tmp:
+        built = os.path.join(tmp.name, path.name)
+        cmd = [*BUILD, "-o", built, str(_SOURCE)]
+        try:
+            done = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot build the kernel with `{' '.join(cmd)}`: {exc}"
+            ) from None
+        if done.returncode:
+            raise ConfigurationError(
+                f"`{' '.join(cmd)}` exited with status {done.returncode}: "
+                f"{done.stderr.strip()[-1000:]}")
+        try:
+            os.replace(built, path)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot write the kernel cache {path}: {exc}") from None
+
+
+@functools.cache
+def load_kernel():
+    """The compiled fused step, built into the cache on the first call of a
+    new source, command or CPU; raises ConfigurationError if it cannot be
+    built or loaded.  `run_distributed` calls this before it forks a rank."""
+    path = _object_path(_SOURCE.read_bytes())
+    if not path.exists():
+        _build(path)
+    try:
+        fn = ctypes.CDLL(str(path)).lbhx_stream_collide
+    except (OSError, AttributeError) as exc:
+        raise ConfigurationError(
+            f"cannot load the kernel {path}: {exc}") from None
+    fn.restype, fn.argtypes = ctypes.c_int, _ARGTYPES
+    return fn
+
+
+@functools.cache
+def _coefficients(model: LatticeModel, params: ModelParams):
+    """The C kernel's model arguments and the arrays they point into: per
+    population cx, cy and the opposite; per opposite pair (p, q) of _relax,
+    p, q, w_p omega and that over cs2; then 0.5/cs2, 0.5/cs2^2 and
+    1 - omega, each computed as _relax computes it."""
+    omega, cs2 = 1.0 / params.tau, model.cs2
+    pairs, p = [], 0
+    while p < model.Q:
+        q = model.opposite[p]
+        h, w = max(q - p, 1), model.weights[p] * omega
+        pairs += [(p + k, q + k, w, w / cs2) for k in range(h)]
+        p = q + h
+    pp, pq, pw, pwcs = zip(*pairs)
+    ints = [np.array(v, dtype=np.int64) for v in
+            (model.cx, model.cy, model.opposite, pp, pq)]
+    floats = [np.array(v, dtype=np.float64) for v in (pw, pwcs)]
+    ptr = [a.ctypes.data for a in ints + floats]
+    args = (model.Q, *ptr[:3], len(pairs), *ptr[3:],
+            0.5 / cs2, 0.5 / (cs2 * cs2), 1.0 - omega)
+    return ints + floats, args
+
+
 def stream_collide_region(model: LatticeModel, params: ModelParams,
                           buf: FieldBuffer, region: Region,
                           policy: BoundaryPolicy) -> None:
-    """propagate, apply_bc and collide in one pass: each block is pulled
-    from prv, bounced back from prv at the walls, relaxed in place and
-    stored in nxt once.  prv is only read, nxt is written only inside
-    region, and the values and ufunc sequence are those of the separate
-    kernels, so the result is bit-identical to them."""
+    """propagate, apply_bc and collide in one pass of the compiled kernel:
+    each block of about BLOCK_SITES sites is pulled from prv, bounced back
+    from prv at the walls, relaxed and stored in nxt once.  prv is only
+    read, nxt is written only inside region, and every value is formed by
+    the separate kernels' operation sequence, so the result is bit-identical
+    to them."""
     _check_region(buf, region, model.R)
-    prv = buf.view("prv")
+    prv, nxt = buf.prv, buf.nxt
+    if not (prv.dtype == nxt.dtype == np.float64 and prv.shape == nxt.shape
+            and prv.flags.c_contiguous and nxt.flags.c_contiguous
+            and not np.may_share_memory(prv, nxt)):
+        raise ContractViolation("the arenas must be two distinct contiguous "
+                                "float64 arrays of one size")
+    view = buf.view("prv")  # a view of the whole of prv, from its start
+    strides = [s // prv.itemsize for s in view.strides]
     walls = policy.y_mode == WALL_BOUNCE_BACK
-
-    def load(block, f):
-        for p, c in enumerate(model.velocities):
-            _pull(prv, p, c, block, f[p])
-        if walls:
-            _bounce_back(model, prv, block, f)
-        return f
-
-    _relax_blocks(model, params, region, buf.view("nxt"), load)
+    status = load_kernel()(
+        prv.ctypes.data, nxt.ctypes.data, *strides, view.shape[3],
+        buf.geom.ly, region.x_begin, region.x_end, region.y_begin,
+        region.y_end, walls, max(1, BLOCK_SITES),
+        *_coefficients(model, params)[1])
+    if status:
+        raise MemoryError("cannot allocate the fused kernel's block buffer")
 
 
 def step_region(model: LatticeModel, params: ModelParams, buf: FieldBuffer,

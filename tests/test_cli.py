@@ -237,3 +237,24 @@ def test_autotune_tuning_error_exits_one(capsys, monkeypatch):
                              "--lattice-ly", "32", "--iters", "1")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "host pool" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "--kernels", "step", "--layouts", "soa", "--iters", "1",
+     "--lattice-lx", "24", "--lattice-ly", "32"),
+    ("scale", "--ranks", "2", "--transport", "tcp", "--hetero-m", "2",
+     "--lattice-lx", "48", "--lattice-ly", "16", "--run-iterations", "2"),
+], ids=["bench", "scale"])
+def test_missing_compiler_exits_1_naming_the_command(fresh_kernel_cache,
+                                                     monkeypatch, capsys,
+                                                     argv):
+    """The kernel is built before any rank forks, so a compiler that is not
+    there ends the command with exit 1 and a message naming it."""
+    from lbhx import kernels
+    monkeypatch.setattr(kernels, "BUILD",
+                        ("/nonexistent/cc",) + kernels.BUILD[1:])
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1, err
+    assert err.startswith("error: cannot build the kernel with "
+                          "`/nonexistent/cc -O3")
+    assert "Traceback" not in err

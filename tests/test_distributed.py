@@ -359,6 +359,35 @@ def test_tcp_links_disable_nagle():
             t.close()
 
 
+def test_tcp_send_resumes_partial_sends_without_joining():
+    """A socket that takes a few bytes per call still delivers the whole
+    frame, and the payload is handed to the socket as the caller's buffer,
+    never joined with the header into one copy."""
+    import lbhx.distributed as D
+    transports = _tcp_transports(2)
+    real = transports[0]._socks[1]
+    seen = []
+
+    class Trickle:
+        def sendmsg(self, parts):
+            seen.append([type(p) for p in parts])
+            head = b"".join(bytes(p) for p in parts)[:7]
+            return real.send(head)
+
+    transports[0]._socks[1] = Trickle()
+    payload = memoryview(np.arange(40, dtype="<f8")).cast("B")
+    try:
+        transports[0].send(1, D.TAG_TO_RIGHT, payload)
+        assert transports[1].recv(0, D.TAG_TO_RIGHT) == bytes(payload)
+        assert transports[0].bytes_sent == 320
+        assert len(seen) == (D._HEADER.size + 320 + 6) // 7
+        assert seen[0] == [memoryview, memoryview]
+    finally:
+        transports[0]._socks[1] = real
+        for t in transports:
+            t.close()
+
+
 def test_in_memory_io_deadline_names_rank_peer_and_phase(monkeypatch):
     """The in-memory receive reads IO_TIMEOUT when called, like TCP; a peer
     that never sends makes recv fail with a CommunicationFault."""

@@ -4,13 +4,15 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import lbhx
 from lbhx import kernels
-from lbhx.errors import ContractViolation
+from lbhx.errors import ConfigurationError, ContractViolation
 from lbhx.kernels import (PERIODIC, WALL_BOUNCE_BACK, BoundaryPolicy,
                           Macroscopics, Region, apply_bc, collide_region,
                           compute_moments, equilibrium, interior_region,
@@ -351,3 +353,136 @@ def test_fused_step_is_bit_identical_to_separate_kernels(monkeypatch, name,
                 case = (y_mode, desc, region)
                 assert np.array_equal(fused.nxt, ref.nxt), case
                 assert np.array_equal(fused.prv, before), case
+
+
+VL8 = [LayoutDescriptor(Family.CSOA, 8),
+       LayoutDescriptor(Family.CAOSOA, 8, Clustering.CONSECUTIVE)]
+
+
+@pytest.mark.parametrize("ly", [8, 32])
+@pytest.mark.parametrize("name", ["d2q9", "d2q37"])
+def test_fused_step_matches_the_reference_at_other_heights(name, ly):
+    """The compiled step equals propagate -> apply_bc -> collide at heights
+    where a row block is shorter than the D2Q37 reach (LY = 8, VL = 4
+    interleaved: B = 2) and longer, with VL = 8 layouts too, on partial and
+    whole row ranges."""
+    model = builtin_model(name)
+    params = ModelParams(tau=0.7)
+    geom = Geometry(10, ly, halo=3)
+    regions = [interior_region(geom), Region(4, 11, 1, ly - 2),
+               Region(5, 9, ly // 2 - 1, ly // 2 + 2)]
+    for y_mode in (PERIODIC, WALL_BOUNCE_BACK):
+        policy = BoundaryPolicy(y_mode)
+        for desc in ALL_DESCRIPTORS + VL8:
+            for region in regions:
+                ref, _ = _random_buf(model, desc, geom, seed=27)
+                fused, _ = _random_buf(model, desc, geom, seed=27)
+                for buf in (ref, fused):
+                    update_x_halos_periodic(buf)
+                    buf.nxt[:] = -1.0
+                propagate_region(model, ref, region)
+                apply_bc(model, ref, policy, region)
+                collide_region(model, params, ref, region, "nxt", "nxt")
+                kernels.stream_collide_region(model, params, fused, region,
+                                              policy)
+                assert np.array_equal(fused.nxt, ref.nxt), (y_mode, desc,
+                                                            region)
+
+
+def test_fused_step_guards_its_region_and_arenas():
+    """Out-of-range regions and arenas that are not two distinct float64
+    arrays raise before the foreign call, so nothing is written."""
+    model = builtin_model("d2q37")
+    params, policy = ModelParams(tau=0.7), BoundaryPolicy()
+    geom = Geometry(8, 8, halo=3)  # interior columns 3..10, alloc 14
+    buf, _ = _random_buf(model, LayoutDescriptor(Family.SOA), geom, 28)
+    prv, nxt = buf.prv.copy(), buf.nxt.copy()
+    for region in (Region(2, 11, 0, 8), Region(3, 12, 0, 8),
+                   Region(3, 11, 0, 9)):
+        with pytest.raises(ContractViolation):
+            kernels.stream_collide_region(model, params, buf, region, policy)
+    assert np.array_equal(buf.prv, prv) and np.array_equal(buf.nxt, nxt)
+    for other in (buf.prv, buf.nxt.astype(np.float32)):
+        buf.nxt = other
+        with pytest.raises(ContractViolation):
+            kernels.stream_collide_region(model, params, buf,
+                                          interior_region(geom), policy)
+    assert np.array_equal(buf.prv, prv)
+
+
+def test_compiled_kernel_releases_the_interpreter_lock():
+    """While one fused D2Q37 256x256 call runs in a thread, the calling
+    thread keeps running Python.  ctypes.CDLL drops the interpreter lock for
+    a foreign call.  Under a lock-holding loader (ctypes.PyDLL) the loop
+    below would make no turn until the call returned, which is after the
+    first half of the call's window: the lock changes hands at most once
+    per switch interval, here 1 ms, far less than the call."""
+    model = builtin_model("d2q37")
+    params, policy = ModelParams(tau=0.7), BoundaryPolicy()
+    geom = Geometry(256, 256, halo=3)
+    buf, _ = _random_buf(model, LayoutDescriptor(Family.SOA), geom, 29)
+    region = interior_region(geom)
+    kernels.stream_collide_region(model, params, buf, region, policy)
+    window = []
+
+    def call():
+        t0 = time.perf_counter()
+        kernels.stream_collide_region(model, params, buf, region, policy)
+        window.extend((t0, time.perf_counter()))
+
+    stamps = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-3)
+    try:
+        th = threading.Thread(target=call)
+        th.start()
+        while th.is_alive():
+            stamps.append(time.perf_counter())
+        th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not th.is_alive() and len(window) == 2
+    t0, t1 = window
+    turns = sum(t0 + 0.05 * (t1 - t0) < t < (t0 + t1) / 2 for t in stamps)
+    assert turns > 100, (turns, t1 - t0)
+
+
+def test_kernel_builds_once_then_loads_without_a_compiler(
+        fresh_kernel_cache, monkeypatch):
+    kernels.load_kernel()
+    built = list(fresh_kernel_cache.iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so"
+    kernels.load_kernel.cache_clear()
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran on a cache hit")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    kernels.load_kernel()
+    assert list(fresh_kernel_cache.iterdir()) == built
+
+
+def test_kernel_cache_file_is_keyed_by_the_source(fresh_kernel_cache):
+    paths = {kernels._object_path(text) for text in (b"int a;", b"int b;")}
+    assert len(paths) == 2
+    assert {p.parent for p in paths} == {fresh_kernel_cache}
+
+
+def test_unwritable_kernel_cache_names_its_path(fresh_kernel_cache,
+                                                monkeypatch):
+    fresh_kernel_cache.parent.joinpath("file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME",
+                       str(fresh_kernel_cache.parent / "file"))
+    with pytest.raises(ConfigurationError, match="kernel cache .*file"):
+        kernels.load_kernel()
+
+
+def test_failed_build_names_the_command_and_its_stderr(fresh_kernel_cache,
+                                                       monkeypatch):
+    monkeypatch.setattr(kernels, "BUILD", kernels.BUILD + ("-fbogus-flag",))
+    with pytest.raises(ConfigurationError) as err:
+        kernels.load_kernel()
+    msg = str(err.value)
+    assert msg.startswith(f"`{' '.join(kernels.BUILD)} -o ")
+    assert "exited with status" in msg and "-fbogus-flag" in msg.split(":")[-1]
+    assert list(fresh_kernel_cache.iterdir()) == []
