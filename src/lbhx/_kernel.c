@@ -3,10 +3,10 @@
  *
  * An arena is read through the element strides (sp, sx, sa, sb) of its
  * (Q, alloc_LX, A, B) view, with y = a * nb + b, so one code path serves
- * every layout.  The region is walked in blocks of about block_sites sites.
- * Each population of a block is staged into one contiguous buffer, pulled
- * from prv and bounced back from prv at the walls; the block is relaxed
- * there and stored to nxt.
+ * every layout.  The region is walked in blocks of whole region columns,
+ * about block_sites sites each.  Each population of a block is staged into
+ * one contiguous buffer, pulled from prv and bounced back from prv at the
+ * walls; the block is relaxed there and stored to nxt.
  *
  * Bit-identity with the numpy reference kernels rests on performing each
  * site's IEEE operations in their order: the moments accumulate in
@@ -74,6 +74,38 @@ static void pull(const struct view *v, const double *prv, i64 p, i64 opp,
     move_rows(v, own, y0, m0 - y0, buf, 0);
     move_rows(v, src, m0 - cy, m1 - m0, buf + (m0 - y0), 0);
     move_rows(v, own, m1, y1 - m1, buf + (m1 - y0), 0);
+}
+
+/* Store the staged block of nx whole columns from xb to nxt, walking nxt
+ * in memory order: the view indices p, a and b nested by decreasing
+ * stride, so that each cache line of nxt is written in one visit rather
+ * than once per population. */
+static void store_columns(const struct view *v, double *nxt, i64 q, i64 xb,
+                          i64 nx, const double *f)
+{
+    const i64 n = nx * v->ly;
+    const i64 ext[3] = {q, v->ly / v->nb, v->nb};
+    const i64 sd[3] = {v->sp, v->sa, v->sb}, sf[3] = {n, v->nb, 1};
+    int o[3] = {0, 1, 2};
+    for (int i = 0; i < 3; i++)
+        for (int j = i + 1; j < 3; j++)
+            if (sd[o[j]] > sd[o[i]]) {
+                int t = o[i];
+                o[i] = o[j];
+                o[j] = t;
+            }
+    for (i64 x = 0; x < nx; x++) {
+        double *dx = nxt + (xb + x) * v->sx;
+        const double *fx = f + x * v->ly;
+        for (i64 i0 = 0; i0 < ext[o[0]]; i0++)
+            for (i64 i1 = 0; i1 < ext[o[1]]; i1++) {
+                double *d = dx + i0 * sd[o[0]] + i1 * sd[o[1]];
+                const double *s = fx + i0 * sf[o[0]] + i1 * sf[o[1]];
+                const i64 ds = sd[o[2]], fs = sf[o[2]];
+                for (i64 i = 0; i < ext[o[2]]; i++)
+                    d[i * ds] = s[i * fs];
+            }
+    }
 }
 
 /* rho, jx, jy, then a = rho - |j|^2 / rho * c_a and g = c_g / rho, of the
@@ -152,9 +184,9 @@ int lbhx_stream_collide(const double *prv, double *nxt,
                         double c_a, double c_g, double om1)
 {
     const struct view v = {sp, sx, sa, sb, nb, ly};
-    /* blocks of whole region columns, or of block_sites rows of one */
-    i64 rows = y1 - y0 < block_sites ? y1 - y0 : block_sites;
-    i64 width = block_sites / rows;
+    /* blocks of whole region columns */
+    i64 rows = y1 - y0;
+    i64 width = block_sites / rows > 1 ? block_sites / rows : 1;
     if (width > x1 - x0)
         width = x1 - x0;
     i64 cap = width * rows;
@@ -165,21 +197,21 @@ int lbhx_stream_collide(const double *prv, double *nxt,
            *a = jy + cap, *g = a + cap;
 
     for (i64 xb = x0; xb < x1; xb += width) {
-        i64 nx = x1 - xb < width ? x1 - xb : width;
-        for (i64 yb = y0; yb < y1; yb += rows) {
-            i64 ny = y1 - yb < rows ? y1 - yb : rows, n = nx * ny;
+        i64 nx = x1 - xb < width ? x1 - xb : width, n = nx * rows;
+        for (i64 p = 0; p < q; p++)
+            for (i64 x = 0; x < nx; x++)
+                pull(&v, prv, p, opposite[p], xb + x, cx[p], cy[p], y0, y1,
+                     walls, f + p * n + x * rows);
+        moments(q, cx, cy, f, n, c_a, c_g, rho, jx, jy, a, g);
+        relax(npairs, pair_p, pair_q, cx, cy, pair_w, pair_wcs, om1, f, n,
+              jx, jy, a, g);
+        if (rows == ly)
+            store_columns(&v, nxt, q, xb, nx, f);
+        else /* part of each column: one population's rows at a time */
             for (i64 p = 0; p < q; p++)
                 for (i64 x = 0; x < nx; x++)
-                    pull(&v, prv, p, opposite[p], xb + x, cx[p], cy[p],
-                         yb, yb + ny, walls, f + p * n + x * ny);
-            moments(q, cx, cy, f, n, c_a, c_g, rho, jx, jy, a, g);
-            relax(npairs, pair_p, pair_q, cx, cy, pair_w, pair_wcs, om1,
-                  f, n, jx, jy, a, g);
-            for (i64 p = 0; p < q; p++)
-                for (i64 x = 0; x < nx; x++)
-                    move_rows(&v, nxt + p * sp + (xb + x) * sx, yb, ny,
-                              f + p * n + x * ny, 1);
-        }
+                    move_rows(&v, nxt + p * sp + (xb + x) * sx, y0, rows,
+                              f + p * n + x * rows, 1);
     }
     free(f);
     return 0;

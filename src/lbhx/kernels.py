@@ -274,8 +274,9 @@ def equilibrium(model: LatticeModel, m: Macroscopics) -> np.ndarray:
 
 
 #: The fused step and the reference collide run in blocks of about this many
-#: sites.  The fused step stages a block's populations in one contiguous
-#: buffer (296 kB for D2Q37), which this keeps well within L2 while each
+#: sites: BLOCK_SITES // rows whole region columns, at least one.  The fused
+#: step stages a block's populations in one contiguous buffer (296 kB for
+#: D2Q37 at 256 rows), which this keeps well within L2 while each
 #: population's runs stay long enough to stream.  A perfbench sweep on a
 #: 2-vCPU Xeon found 512-1024 fastest on bulk-q37, and 16384 about 20%
 #: slower on both workloads.
@@ -445,8 +446,8 @@ def stream_collide_region(model: LatticeModel, params: ModelParams,
                           buf: FieldBuffer, region: Region,
                           policy: BoundaryPolicy) -> None:
     """propagate, apply_bc and collide in one pass of the compiled kernel:
-    each block of about BLOCK_SITES sites is pulled from prv, bounced back
-    from prv at the walls, relaxed and stored in nxt once.  prv is only
+    each block of BLOCK_SITES // rows whole region columns is pulled from
+    prv, bounced back from prv at the walls, relaxed and stored in nxt once.  prv is only
     read, nxt is written only inside region, and every value is formed by
     the separate kernels' operation sequence, so the result is bit-identical
     to them."""
