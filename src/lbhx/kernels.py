@@ -9,7 +9,12 @@ strided (Q, alloc_LX, A, B) views of FieldBuffer.view, with y = a * B + b.
 stream_collide_region(prv -> nxt) on each region, then FieldBuffer.swap, so
 the new state is in prv; outside the regions the new prv holds scratch.  The
 fused step is one C function, `_kernel.c`, built on first use and called
-through ctypes, which releases the interpreter lock for the call.  The numpy
+through ctypes, which releases the interpreter lock for the call.  It stages
+each block with populations outermost and, within a column, the sites in the
+arena's own order (the view's row axes a and b nested by decreasing stride:
+VL lanes innermost for the interleaved clustered layouts, y order for the
+others), so that its pull and store copy runs contiguous on both sides.
+The collide is site-local, so that order changes no value.  The numpy
 kernels propagate(prv -> nxt), apply_bc(nxt) and collide(nxt -> prv) are its
 reference.
 
@@ -36,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, RuntimeFault
 from .layouts import FieldBuffer, Geometry
 from .model import LatticeModel, ModelParams
 
@@ -275,11 +280,13 @@ def equilibrium(model: LatticeModel, m: Macroscopics) -> np.ndarray:
 
 #: The fused step and the reference collide run in blocks of about this many
 #: sites: BLOCK_SITES // rows whole region columns, at least one.  The fused
-#: step stages a block's populations in one contiguous buffer (296 kB for
-#: D2Q37 at 256 rows), which this keeps well within L2 while each
-#: population's runs stay long enough to stream.  A perfbench sweep on a
-#: 2-vCPU Xeon found 512-1024 fastest on bulk-q37, and 16384 about 20%
-#: slower on both workloads.
+#: step stages a block's populations in one buffer (about 300 kB for D2Q37
+#: at 256 rows), which this keeps well within L2 while each population's
+#: runs stay long enough to stream.  A perfbench sweep of the kernel that
+#: stages in the arena's site order (2-vCPU Xeon, 10 s runs, 2 per size)
+#: gave MLUPS 512: 5.96/6.54, 1024: 6.53/6.60, 2048: 7.45/6.70 on bulk-q37
+#: and 512: 28.5/29.6, 1024: 27.6/30.8, 2048: 25.8/30.8 on ring2-q9-tcp:
+#: no size ahead on both beyond the spread between runs.
 BLOCK_SITES = 1024
 
 
@@ -447,10 +454,11 @@ def stream_collide_region(model: LatticeModel, params: ModelParams,
                           policy: BoundaryPolicy) -> None:
     """propagate, apply_bc and collide in one pass of the compiled kernel:
     each block of BLOCK_SITES // rows whole region columns is pulled from
-    prv, bounced back from prv at the walls, relaxed and stored in nxt once.  prv is only
-    read, nxt is written only inside region, and every value is formed by
-    the separate kernels' operation sequence, so the result is bit-identical
-    to them."""
+    prv, bounced back from prv at the walls, relaxed and stored in nxt once.
+    prv is only read, nxt is written only inside region, and every value is
+    formed by the separate kernels' operation sequence, so the result is
+    bit-identical to them.  Raises RuntimeFault if the kernel cannot
+    allocate its block buffer."""
     _check_region(buf, region, model.R)
     prv, nxt = buf.prv, buf.nxt
     if not (prv.dtype == nxt.dtype == np.float64 and prv.shape == nxt.shape
@@ -461,13 +469,18 @@ def stream_collide_region(model: LatticeModel, params: ModelParams,
     view = buf.view("prv")  # a view of the whole of prv, from its start
     strides = [s // prv.itemsize for s in view.strides]
     walls = policy.y_mode == WALL_BOUNCE_BACK
+    block_sites = max(1, BLOCK_SITES)
     status = load_kernel()(
         prv.ctypes.data, nxt.ctypes.data, *strides, view.shape[3],
         buf.geom.ly, region.x_begin, region.x_end, region.y_begin,
-        region.y_end, walls, max(1, BLOCK_SITES),
-        *_coefficients(model, params)[1])
+        region.y_end, walls, block_sites, *_coefficients(model, params)[1])
     if status:
-        raise MemoryError("cannot allocate the fused kernel's block buffer")
+        # the C kernel's buffer: Q populations a cache line apart, 5 moments
+        cap = min(max(1, block_sites // region.rows),
+                  region.columns) * region.rows
+        size = (model.Q * (cap + 8) + 5 * cap) * 8
+        raise RuntimeFault(f"cannot allocate {size} bytes for region "
+                           f"{region} (phase: fused kernel block buffer)")
 
 
 def step_region(model: LatticeModel, params: ModelParams, buf: FieldBuffer,

@@ -258,3 +258,18 @@ def test_missing_compiler_exits_1_naming_the_command(fresh_kernel_cache,
     assert err.startswith("error: cannot build the kernel with "
                           "`/nonexistent/cc -O3")
     assert "Traceback" not in err
+
+
+def test_failed_kernel_allocation_exits_2_naming_the_phase(monkeypatch,
+                                                          capsys):
+    """A block buffer the kernel cannot allocate ends the command with exit
+    2 and the fault's message, not a traceback."""
+    from lbhx import kernels
+    monkeypatch.setattr(kernels, "load_kernel", lambda: lambda *args: -1)
+    code, _, err = run_cli(capsys, "bench", "--kernels", "step",
+                           "--layouts", "soa", "--iters", "1",
+                           "--lattice-lx", "24", "--lattice-ly", "32")
+    assert code == 2, err
+    assert err.startswith("runtime fault: cannot allocate ")
+    assert "(phase: fused kernel block buffer)" in err
+    assert "Traceback" not in err

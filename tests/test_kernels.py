@@ -12,7 +12,7 @@ import pytest
 
 import lbhx
 from lbhx import kernels
-from lbhx.errors import ConfigurationError, ContractViolation
+from lbhx.errors import ConfigurationError, ContractViolation, RuntimeFault
 from lbhx.kernels import (PERIODIC, WALL_BOUNCE_BACK, BoundaryPolicy,
                           Macroscopics, Region, apply_bc, collide_region,
                           compute_moments, equilibrium, interior_region,
@@ -356,6 +356,7 @@ def test_fused_step_is_bit_identical_to_separate_kernels(monkeypatch, name,
 
 
 VL8 = [LayoutDescriptor(Family.CSOA, 8),
+       LayoutDescriptor(Family.CAOSOA, 8),
        LayoutDescriptor(Family.CAOSOA, 8, Clustering.CONSECUTIVE)]
 
 
@@ -365,7 +366,8 @@ def test_fused_step_matches_the_reference_at_other_heights(name, ly):
     """The compiled step equals propagate -> apply_bc -> collide at heights
     where a row block is shorter than the D2Q37 reach (LY = 8, VL = 4
     interleaved: B = 2) and longer, with VL = 8 layouts too, on partial and
-    whole row ranges."""
+    whole row ranges.  At LY = 8 the interleaved VL = 8 layouts have B = 1,
+    so every non-zero cy moves a value to another lane."""
     model = builtin_model(name)
     params = ModelParams(tau=0.7)
     geom = Geometry(10, ly, halo=3)
@@ -408,6 +410,32 @@ def test_fused_step_guards_its_region_and_arenas():
             kernels.stream_collide_region(model, params, buf,
                                           interior_region(geom), policy)
     assert np.array_equal(buf.prv, prv)
+
+
+def test_failed_block_allocation_is_a_runtime_fault(monkeypatch):
+    """A kernel that cannot allocate its block buffer (status -1) raises
+    RuntimeFault naming the phase, the region and the byte count."""
+    model = builtin_model("d2q9")
+    geom = Geometry(6, 8, halo=1)
+    buf, _ = _random_buf(model, LayoutDescriptor(Family.SOA), geom, 30)
+    monkeypatch.setattr(kernels, "load_kernel", lambda: lambda *args: -1)
+    region = Region(2, 5, 0, 8)
+    with pytest.raises(RuntimeFault) as err:
+        kernels.stream_collide_region(model, ModelParams(tau=0.7), buf,
+                                      region, BoundaryPolicy())
+    # 3 columns of 8 rows: 9 populations of 24 + 8 sites, 5 moments of 24
+    assert str(err.value) == (f"cannot allocate {(9 * 32 + 5 * 24) * 8} "
+                              f"bytes for region {region} "
+                              "(phase: fused kernel block buffer)")
+
+
+def test_kernel_source_builds_without_warnings(tmp_path):
+    """_kernel.c compiles cleanly under -Wall -Wextra -Werror, so a rewrite
+    leaves no unused local or dead helper behind."""
+    cmd = [*kernels.BUILD, "-Wall", "-Wextra", "-Werror",
+           "-o", str(tmp_path / "kernel.so"), str(kernels._SOURCE)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_compiled_kernel_releases_the_interpreter_lock():
