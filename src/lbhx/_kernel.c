@@ -50,10 +50,9 @@ struct rect {
 };
 
 /* d[j * dj + k * dk] = s[j * sj + k * sk] for j < nj and k < nk.  A
- * contiguous run of 4 or 8 (a VL) is a fixed-size copy; a longer one is a
- * loop below a page and memcpy from a page up, which measured faster for
- * 2048-row SoA columns and slower for 256-row ones.  Always inlined, so
- * that a caller's loop around it can hoist the tests on the strides. */
+ * contiguous run of 4 (a VL4 cluster) is a fixed-size copy.  Always
+ * inlined, so that a caller's loop around it can hoist the tests on the
+ * strides. */
 __attribute__((always_inline)) static inline void copy2(
     double *d, i64 dj, i64 dk, const double *s, i64 sj, i64 sk, i64 nj,
     i64 nk)
@@ -67,13 +66,9 @@ __attribute__((always_inline)) static inline void copy2(
                 d[k] = s[k * sk];
         else if (nk == 4)
             memcpy(d, s, 4 * sizeof(double));
-        else if (nk == 8)
-            memcpy(d, s, 8 * sizeof(double));
-        else if (nk < 512)
+        else
             for (i64 k = 0; k < nk; k++)
                 d[k] = s[k];
-        else
-            memcpy(d, s, nk * sizeof(double));
 }
 
 /* The staged sites of rows [a, a + na) x [b, b + nb) of rect r in nx
@@ -260,8 +255,8 @@ BLOCK_STEP void relax(i64 npairs, const i64 *pair_p, const i64 *pair_q,
 }
 
 /* One fused step of region [x0, x1) x [y0, y1) from prv into nxt; returns
- * 0, or -1 if the block buffers cannot be allocated. */
-int lbhx_stream_collide(const double *prv, double *nxt,
+ * 0, or the byte count of the block buffer if it cannot be allocated. */
+i64 lbhx_stream_collide(const double *prv, double *nxt,
                         i64 sp, i64 sx, i64 sa, i64 sb, i64 nb, i64 ly,
                         i64 x0, i64 x1, i64 y0, i64 y1,
                         int walls, i64 block_sites,
@@ -282,9 +277,10 @@ int lbhx_stream_collide(const double *prv, double *nxt,
     /* populations lie a cache line further apart than a block's sites:
      * faster on every layout measured, by up to a tenth for AoS */
     const i64 cap = width * rows, ld = cap + 8;
-    double *f = malloc((q * ld + 5 * cap) * sizeof(double));
+    const i64 size = (q * ld + 5 * cap) * (i64)sizeof(double);
+    double *f = malloc(size);
     if (!f)
-        return -1;
+        return size;
     double *rho = f + q * ld, *jx = rho + cap, *jy = jx + cap,
            *a = jy + cap, *g = a + cap;
 

@@ -422,7 +422,7 @@ def load_kernel():
     except (OSError, AttributeError) as exc:
         raise ConfigurationError(
             f"cannot load the kernel {path}: {exc}") from None
-    fn.restype, fn.argtypes = ctypes.c_int, _ARGTYPES
+    fn.restype, fn.argtypes = ctypes.c_int64, _ARGTYPES
     return fn
 
 
@@ -470,16 +470,12 @@ def stream_collide_region(model: LatticeModel, params: ModelParams,
     strides = [s // prv.itemsize for s in view.strides]
     walls = policy.y_mode == WALL_BOUNCE_BACK
     block_sites = max(1, BLOCK_SITES)
-    status = load_kernel()(
+    failed = load_kernel()(
         prv.ctypes.data, nxt.ctypes.data, *strides, view.shape[3],
         buf.geom.ly, region.x_begin, region.x_end, region.y_begin,
         region.y_end, walls, block_sites, *_coefficients(model, params)[1])
-    if status:
-        # the C kernel's buffer: Q populations a cache line apart, 5 moments
-        cap = min(max(1, block_sites // region.rows),
-                  region.columns) * region.rows
-        size = (model.Q * (cap + 8) + 5 * cap) * 8
-        raise RuntimeFault(f"cannot allocate {size} bytes for region "
+    if failed:
+        raise RuntimeFault(f"cannot allocate {failed} bytes for region "
                            f"{region} (phase: fused kernel block buffer)")
 
 

@@ -265,11 +265,11 @@ def test_failed_kernel_allocation_exits_2_naming_the_phase(monkeypatch,
     """A block buffer the kernel cannot allocate ends the command with exit
     2 and the fault's message, not a traceback."""
     from lbhx import kernels
-    monkeypatch.setattr(kernels, "load_kernel", lambda: lambda *args: -1)
+    monkeypatch.setattr(kernels, "load_kernel", lambda: lambda *args: 123456)
     code, _, err = run_cli(capsys, "bench", "--kernels", "step",
                            "--layouts", "soa", "--iters", "1",
                            "--lattice-lx", "24", "--lattice-ly", "32")
     assert code == 2, err
-    assert err.startswith("runtime fault: cannot allocate ")
+    assert err.startswith("runtime fault: cannot allocate 123456 bytes ")
     assert "(phase: fused kernel block buffer)" in err
     assert "Traceback" not in err

@@ -413,18 +413,19 @@ def test_fused_step_guards_its_region_and_arenas():
 
 
 def test_failed_block_allocation_is_a_runtime_fault(monkeypatch):
-    """A kernel that cannot allocate its block buffer (status -1) raises
-    RuntimeFault naming the phase, the region and the byte count."""
+    """A kernel that cannot allocate its block buffer returns the byte count
+    it asked for, and RuntimeFault names the phase, the region and that
+    count."""
     model = builtin_model("d2q9")
     geom = Geometry(6, 8, halo=1)
     buf, _ = _random_buf(model, LayoutDescriptor(Family.SOA), geom, 30)
-    monkeypatch.setattr(kernels, "load_kernel", lambda: lambda *args: -1)
+    monkeypatch.setattr(kernels, "load_kernel",
+                        lambda: lambda *args: 123456)
     region = Region(2, 5, 0, 8)
     with pytest.raises(RuntimeFault) as err:
         kernels.stream_collide_region(model, ModelParams(tau=0.7), buf,
                                       region, BoundaryPolicy())
-    # 3 columns of 8 rows: 9 populations of 24 + 8 sites, 5 moments of 24
-    assert str(err.value) == (f"cannot allocate {(9 * 32 + 5 * 24) * 8} "
+    assert str(err.value) == ("cannot allocate 123456 "
                               f"bytes for region {region} "
                               "(phase: fused kernel block buffer)")
 
