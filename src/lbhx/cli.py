@@ -7,10 +7,11 @@ Exit status: 0 success, 1 configuration or tuning error, 2 runtime fault,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import statistics
 import sys
-import time
+from functools import partial
 
 import numpy as np
 
@@ -20,13 +21,14 @@ from .errors import (CommunicationFault, ConfigurationError, LbhxError,
 from .hetero import (HeteroTuningRunner, balance_experiment, make_partition,
                      random_state, runtime_from_config, tune_profile)
 from .kernels import (collide_region, interior_region, propagate_region,
-                      step_region, update_x_halos_periodic)
+                      run_steps, update_x_halos_periodic)
 from .layouts import (Family, FieldBuffer, LayoutDescriptor,
                       clustering_from_name, family_from_name, read_dump,
                       write_dump)
 from .model import ModelParams, builtin_model, validate_moments
-from .perf_model import (SAMPLE_PROFILES, autotune, load_profile, mlups,
-                         optimal_m, save_profile, whatif)
+from .perf_model import (SAMPLE_PROFILES, autotune, best3, load_profile,
+                         mlups, optimal_m, paired_ratios, sample, save_profile,
+                         time_call, whatif)
 from .report import BenchReport
 
 
@@ -81,13 +83,11 @@ def _layout_descriptor(name: str, vl: int, clustering: str) -> LayoutDescriptor:
 # -- bench -------------------------------------------------------------------
 
 KERNELS = ("propagate", "collide", "step")
-LAYOUT_NAMES = ("aos", "soa", "csoa", "caosoa")
 
 
 def cmd_bench_kernels(cfg, args) -> BenchReport:
-    """Kernel x layout timing table: median ms per iteration, CV, MLUPS."""
-    if args.iters <= 0:
-        raise ConfigurationError("bench needs --iters >= 1")
+    """Kernel x layout timing table: best-3 ms per iteration, MLUPS, and
+    same-round time ratios to each kernel's first layout."""
     kernels = args.kernels.split(",")
     layouts = args.layouts.split(",")
     for k in kernels:
@@ -102,48 +102,31 @@ def cmd_bench_kernels(cfg, args) -> BenchReport:
              for name in layouts]
     for desc in descs:
         geom.check_vl(desc)
-    pool = args.pool
-    scale = cfg.device_throttle if pool == "device" else 1.0
 
     report = BenchReport("bench", metadata={
         "model": model.name, "lx": str(cfg.lx), "ly": str(cfg.ly),
-        "pool": pool, "device_throttle": str(cfg.device_throttle),
         "iters": str(args.iters),
     })
     region = interior_region(geom)
-    unstable = []
+    cells, measurands = [], []
     for name, desc in zip(layouts, descs):
         buf = FieldBuffer(desc, geom, model.Q)
         buf.set_canonical(random_state(model, cfg.lx, cfg.ly, cfg.seed))
         update_x_halos_periodic(buf)
-        bodies = {
-            "propagate": lambda: propagate_region(model, buf, region),
-            "collide": lambda: collide_region(model, params, buf, region),
-            "step": lambda: (update_x_halos_periodic(buf),
-                             step_region(model, params, buf, region,
-                                         cfg.policy)),
-        }
+        buf.nxt[:] = buf.prv  # collide reads nxt; keep it populated
+        bodies = {"propagate": (propagate_region, model, buf, region),
+                  "collide": (collide_region, model, params, buf, region),
+                  "step": (run_steps, model, params, buf, 1, cfg.policy)}
         for kernel in kernels:
-            body = bodies[kernel]
-            if kernel == "collide":  # collide reads nxt; keep it populated
-                buf.nxt[:] = buf.prv
-            for _ in range(max(args.warmup, 1)):
-                body()
-            samples = []
-            for _ in range(args.iters):
-                t0 = time.perf_counter()
-                body()
-                samples.append((time.perf_counter() - t0) * scale)
-            med = statistics.median(samples)
-            cv = statistics.pstdev(samples) / med if med > 0 else 0.0
-            if cv > 0.05:
-                unstable.append(f"{kernel}/{name}")
-            report.add_row(kernel=kernel, layout=name, vl=desc.vl,
-                           lx=cfg.lx, ly=cfg.ly, pool=pool,
-                           t_ms=med * 1e3, cv=cv,
-                           mlups=mlups(cfg.lx, cfg.ly, med))
-    if unstable:
-        report.metadata["unstable_cells"] = ";".join(unstable)
+            cells.append((kernel, name, desc.vl))
+            measurands.append(partial(time_call, *bodies[kernel]))
+    samples = sample(measurands, warmup=max(args.warmup, 1), rounds=args.iters)
+    for (kernel, name, vl), times in zip(cells, samples):
+        t = best3(times)
+        report.add_row(kernel=kernel, layout=name, vl=vl, lx=cfg.lx, ly=cfg.ly,
+                       t_ms=t * 1e3,
+                       **paired_ratios(times, samples[kernels.index(kernel)]),
+                       mlups=mlups(cfg.lx, cfg.ly, t))
     return report
 
 
@@ -182,38 +165,38 @@ def cmd_sweep_balance(cfg, args) -> BenchReport:
 # -- sweep-vl ----------------------------------------------------------------
 
 def cmd_sweep_vl(cfg, args) -> BenchReport:
-    """Best-balance MLUPS per cluster size VL."""
+    """Best-balance MLUPS per cluster size VL, and step time ratios."""
     vls = [int(v) for v in args.vls.split(",")]
     family = cfg.layout.family
     if family not in (Family.CSOA, Family.CAOSOA):
         raise ConfigurationError("sweep-vl needs a clustered layout "
                                  "(csoa or caosoa)")
-    for vl in vls:
-        desc = LayoutDescriptor(family, vl, cfg.layout.clustering)
+    descs = [LayoutDescriptor(family, vl, cfg.layout.clustering) for vl in vls]
+    for desc in descs:
         cfg.geometry.check_vl(desc)  # VL=1 or non-divisor rejected here
     report = BenchReport("sweep-vl", metadata={
         "model": cfg.model_name, "lx": str(cfg.lx), "ly": str(cfg.ly),
         "layout": family.name.lower(),
         "device_throttle": str(cfg.device_throttle),
     })
-    best_vl, best_mlups = None, -1.0
     lx, ly = cfg.lx, cfg.ly
-    for vl in vls:
-        desc = LayoutDescriptor(family, vl, cfg.layout.clustering)
-        with runtime_from_config(dataclasses.replace(cfg, layout=desc)) as rt:
+    m_best, steps = [], []
+    with contextlib.ExitStack() as stack:
+        for desc in descs:
+            rt = stack.enter_context(
+                runtime_from_config(dataclasses.replace(cfg, layout=desc)))
             rt.load_state(random_state(rt.model, lx, ly, cfg.seed))
             profile = autotune(HeteroTuningRunner(rt), warmup=2,
                                iters=args.rounds)
-            m_best = optimal_m(profile, lx, ly)
-            plan = make_partition(cfg.geometry, m_best)
-            for _ in range(3):
-                rt.run_timestep(plan)
-            t = min(rt.run_timestep(plan).t_exe for _ in range(args.rounds))
-        rate = mlups(lx, ly, t)
-        if rate > best_mlups:
-            best_vl, best_mlups = vl, rate
-        report.add_row(vl=vl, best_m_frac=2 * m_best / lx, mlups=rate)
-    report.metadata["argmax_vl"] = str(best_vl)
+            m_best.append(optimal_m(profile, lx, ly))
+            plan = make_partition(cfg.geometry, m_best[-1])
+            steps.append(lambda rt=rt, plan=plan: rt.run_timestep(plan).t_exe)
+        samples = sample(steps, warmup=3, rounds=args.rounds)
+    rates = [mlups(lx, ly, best3(times)) for times in samples]
+    for vl, m, rate, times in zip(vls, m_best, rates, samples):
+        report.add_row(vl=vl, best_m_frac=2 * m / lx, mlups=rate,
+                       **paired_ratios(times, samples[0]))
+    report.metadata["argmax_vl"] = str(vls[rates.index(max(rates))])
     return report
 
 
@@ -410,12 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[common],
                        help="kernel x layout timing table")
-    p.add_argument("--kernels", default="propagate,collide",
+    p.add_argument("--kernels", default="step",
                    help="comma list from propagate,collide,step")
     p.add_argument("--layouts", default="aos,soa,csoa,caosoa")
     p.add_argument("--iters", type=int, default=11)
     p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--pool", choices=("host", "device"), default="host")
 
     p = sub.add_parser("sweep-balance", parents=[common],
                        help="measured vs predicted MLUPS over border widths")

@@ -35,6 +35,8 @@ from .errors import ConfigurationError, RuntimeFault
 from .kernels import BoundaryPolicy, Region, stream_collide_region
 from .layouts import FieldBuffer, Geometry, LayoutDescriptor
 from .model import LatticeModel, ModelParams
+from .perf_model import (PerfProfile, autotune, measure_profile, optimal_m,
+                         predict, time_call)
 
 
 @dataclass(frozen=True)
@@ -344,14 +346,10 @@ class HeteroTuningRunner:
         raise ConfigurationError(f"unknown pool {pool!r}")
 
     def time_comm(self) -> float:
-        t0 = time.perf_counter()
-        self.rt.rank_exchange(self._scratch)
-        return time.perf_counter() - t0
+        return time_call(self.rt.rank_exchange, self._scratch)
 
     def time_swap(self) -> float:
-        t0 = time.perf_counter()
-        self.rt.halo_swap_device_host(self._plan)
-        return time.perf_counter() - t0
+        return time_call(self.rt.halo_swap_device_host, self._plan)
 
 
 @dataclass
@@ -370,7 +368,7 @@ class BalancePoint:
 def balance_experiment(runtime: HeteroRuntime, widths: list[int],
                        m_points: list[int], *, warmup: int = 3,
                        rounds: int = 30
-                       ) -> tuple["PerfProfile", list[BalancePoint]]:
+                       ) -> tuple[PerfProfile, list[BalancePoint]]:
     """Tune a profile and sweep border widths with one sampler.
 
     Each sweep point's full timestep joins the tuning measurands of
@@ -379,8 +377,6 @@ def balance_experiment(runtime: HeteroRuntime, widths: list[int],
     same best-3 statistic, which keeps the comparison between them
     meaningful.
     """
-    from .perf_model import measure_profile, predict
-
     g = runtime.geom
     steps = [lambda plan=make_partition(g, m): runtime.run_timestep(plan).t_exe
              for m in m_points]
@@ -415,10 +411,9 @@ def runtime_from_config(cfg, rank_exchange=None) -> HeteroRuntime:
     )
 
 
-def tune_profile(cfg, state: np.ndarray) -> "PerfProfile":
+def tune_profile(cfg, state: np.ndarray) -> PerfProfile:
     """Measure a time-model profile on a one-rank runtime of the whole
     configured lattice, loaded with `state`."""
-    from .perf_model import autotune
     with runtime_from_config(cfg) as rt:
         rt.load_state(state)
         return autotune(HeteroTuningRunner(rt), warmup=2, iters=8)
@@ -431,7 +426,6 @@ def rank_border_widths(cfg, widths: list[int], profile=None) -> list[int]:
     slice.  With one, each rank runs at the profile's M* for its own slice,
     so the device keeps a bulk to work on at every rank count.
     """
-    from .perf_model import optimal_m
     if profile is None:
         return [min(cfg.m, w // 2) for w in widths]
     return [optimal_m(profile, w, cfg.ly) for w in widths]

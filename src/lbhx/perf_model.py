@@ -13,11 +13,11 @@ continuous optimum is
 
     M_opt = (LX * LY * tau_d - tau_c) / (2 * LY * (tau_d + tau_h)).
 
-tau_c is modeled as M-independent.  One estimator, `measure_profile`,
-recovers the four parameters from timed mini-benchmarks, sampled
-interleaved in a seeded shuffled order with an untimed twin before each
-timed sample; each estimate is the mean of the three fastest rounds.
-tau_h and tau_d are least-squares slopes of those estimates vs sites
+tau_c is modeled as M-independent.  One round loop, `sample`, times all
+that `autotune`, `sweep-balance`, `bench` and `sweep-vl` measure, in seeded
+shuffled rounds.  `measure_profile` recovers the four parameters from its
+samples of mini-benchmarks, each estimate the mean of the three fastest
+rounds: tau_h and tau_d are least-squares slopes of those estimates vs sites
 processed, where one sample times all of a pool's sizes in turns; tau_c and
 t_swap are the estimates of one exchange and one swap.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Protocol, Sequence
@@ -145,39 +146,15 @@ def _fit_slope(sites: list[int], times: list[float]) -> float:
     return float(slope)
 
 
-def measure_profile(runner: TuningRunner, *, warmup: int, rounds: int,
-                    extra: Sequence[Callable[[], float]] = ()
-                    ) -> tuple[PerfProfile, list[float]]:
-    """Measure a PerfProfile, and the best times of the `extra` measurands.
-
-    The measurands are each pool's compute, timed at all of its
-    `runner.compute_sizes` in one sample, the halo exchange, the halo swap
-    and every `extra` callable (each returns the seconds it measured).  Each
-    runs `warmup` untimed times, then once per round, in an order reshuffled
-    every round by a fixed seed.  Each timed sample follows an untimed twin,
-    so it runs with caches and predictors in its own state, not the previous
-    measurand's.  Each estimate (one per compute size) is the mean of the
-    three fastest rounds: on a shared host interference only adds time, so
-    the fastest samples estimate the undisturbed cost (Chen & Revels,
-    arXiv:1608.04295), and shuffling removes the effect of what ran just
-    before each sample.  A size that is slower than another in every
-    round stays slower in its estimate.
-
-    Raises TuningError for degenerate inputs: fewer than 3 positive region
-    sizes per pool, compute times that fall with size, or a non-positive
-    fitted slope.
-    """
-    sizes = {pool: sorted(runner.compute_sizes(pool))
-             for pool in ("device", "host")}
-    for pool, pool_sizes in sizes.items():
-        if len(pool_sizes) < 3 or any(s <= 0 for s in pool_sizes):
-            raise TuningError(
-                f"{pool} pool: need >= 3 positive region sizes, got {pool_sizes}")
+def sample(measurands: Sequence[Callable[[], object]], *, warmup: int,
+           rounds: int) -> list[list]:
+    """Every round's sample of each measurand (which returns the seconds it
+    measured: a scalar, or a list per size), in the order given.  Each runs
+    `warmup` untimed times, then once per round in an order reshuffled every
+    round by a fixed seed, each timed sample after an untimed twin, so no
+    sample runs in the cache and predictor state that another one left."""
     if rounds < 1:
-        raise ConfigurationError(f"tuning needs at least 1 round, got {rounds}")
-    measurands = [partial(runner.time_compute, pool, pool_sizes)
-                  for pool, pool_sizes in sizes.items()]
-    measurands += [runner.time_comm, runner.time_swap, *extra]
+        raise ConfigurationError(f"sampling needs at least 1 round, got {rounds}")
     for fn in measurands:
         for _ in range(warmup):
             fn()
@@ -189,7 +166,57 @@ def measure_profile(runner: TuningRunner, *, warmup: int, rounds: int,
         for i in order:
             measurands[i]()  # the untimed twin
             samples[i].append(measurands[i]())
-    best = [np.sort(s, axis=0)[:3].mean(axis=0).tolist() for s in samples]
+    return samples
+
+
+def time_call(fn: Callable, *args) -> float:
+    """Seconds that one call fn(*args) takes: a measurand's body."""
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
+def best3(samples: list) -> float | list[float]:
+    """Mean of the three fastest rounds, per size for list samples: on a
+    shared host interference only adds time (Chen & Revels,
+    arXiv:1608.04295), so the fastest samples estimate the undisturbed cost."""
+    return np.sort(samples, axis=0)[:3].mean(axis=0).tolist()
+
+
+def paired_ratios(times: list, reference: list) -> dict[str, float]:
+    """Median (`ratio`) and quartiles (`ratio_q1`, `ratio_q3`) of each
+    round's time over the same round's `reference` time.  A host phase that
+    slows a whole round slows both alike, so the ratio resolves differences
+    that the drift between rounds hides in either time."""
+    q1, med, q3 = np.percentile(np.divide(times, reference), [25, 50, 75])
+    return {"ratio": float(med), "ratio_q1": float(q1), "ratio_q3": float(q3)}
+
+
+def measure_profile(runner: TuningRunner, *, warmup: int, rounds: int,
+                    extra: Sequence[Callable[[], float]] = ()
+                    ) -> tuple[PerfProfile, list[float]]:
+    """Measure a PerfProfile, and the best times of the `extra` measurands.
+
+    The measurands are each pool's compute, timed at all of its
+    `runner.compute_sizes` in one sample, the halo exchange, the halo swap
+    and every `extra` callable (each returns the seconds it measured).
+    `sample` runs them in `warmup` untimed calls and `rounds` shuffled
+    rounds; each estimate (one per compute size) is the `best3` mean.
+
+    Raises TuningError for degenerate inputs: fewer than 3 positive region
+    sizes per pool, compute times that fall with size, or a non-positive
+    fitted slope.
+    """
+    sizes = {pool: sorted(runner.compute_sizes(pool))
+             for pool in ("device", "host")}
+    for pool, pool_sizes in sizes.items():
+        if len(pool_sizes) < 3 or any(s <= 0 for s in pool_sizes):
+            raise TuningError(
+                f"{pool} pool: need >= 3 positive region sizes, got {pool_sizes}")
+    measurands = [partial(runner.time_compute, pool, pool_sizes)
+                  for pool, pool_sizes in sizes.items()]
+    measurands += [runner.time_comm, runner.time_swap, *extra]
+    best = [best3(s) for s in sample(measurands, warmup=warmup, rounds=rounds)]
 
     slopes: dict[str, float] = {}
     for (pool, pool_sizes), times in zip(sizes.items(), best):
@@ -213,10 +240,7 @@ def measure_profile(runner: TuningRunner, *, warmup: int, rounds: int,
 
 def autotune(runner: TuningRunner, *, warmup: int = 5,
              iters: int = 20) -> PerfProfile:
-    """Measure a PerfProfile with `measure_profile` and no extra measurands:
-    `iters` shuffled rounds, an untimed twin before each timed sample, the
-    mean of each measurand's three fastest rounds, and its TuningError
-    guards."""
+    """`measure_profile` with no extra measurands and `iters` rounds."""
     profile, _ = measure_profile(runner, warmup=warmup, rounds=iters)
     return profile
 

@@ -22,17 +22,39 @@ def test_bench_csv_structure(capsys):
                              "--lattice-ly", "32")
     assert code == 0, err
     report = BenchReport.from_csv(out)
-    assert report.columns == ["kernel", "layout", "vl", "lx", "ly", "pool",
-                              "t_ms", "cv", "mlups"]
+    assert report.columns == ["kernel", "layout", "vl", "lx", "ly", "t_ms",
+                              "ratio", "ratio_q1", "ratio_q3", "mlups"]
     assert [r["layout"] for r in report.rows] == ["aos", "caosoa"]
+    assert report.rows[0]["ratio"] == 1.0  # the first layout is the reference
     for row in report.rows:
         assert row["t_ms"] > 0 and row["mlups"] > 0
+        assert 0 < row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]
 
 
 def test_bench_zero_iters_is_config_error(capsys):
     code, _, err = run_cli(capsys, "bench", "--iters", "0")
     assert code == 1
     assert "error" in err
+
+
+def test_sweep_vl_reports_each_vl_against_the_first(capsys):
+    code, out, err = run_cli(capsys, "sweep-vl", "--layout", "csoa",
+                             "--vls", "2,4", "--rounds", "2",
+                             "--lattice-lx", "64", "--lattice-ly", "32")
+    assert code == 0, err
+    report = BenchReport.from_csv(out)
+    assert [r["vl"] for r in report.rows] == [2, 4]
+    assert report.metadata["argmax_vl"] in ("2", "4")
+    assert report.rows[0]["ratio"] == 1.0
+    for row in report.rows:
+        assert row["mlups"] > 0
+        assert 0 < row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]
+
+
+def test_sweep_vl_needs_a_clustered_layout(capsys):
+    code, _, err = run_cli(capsys, "sweep-vl", "--layout", "soa")
+    assert code == 1
+    assert "clustered layout" in err
 
 
 def test_bench_output_file(tmp_path, capsys):

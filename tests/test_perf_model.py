@@ -10,14 +10,15 @@ t_exe = max(8e-4, 6e-4 + 2e-4) + 5e-5 = 8.5e-4.
 import math
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from lbhx.errors import ConfigurationError, TuningError
 from lbhx.perf_model import (SAMPLE_PROFILES, PerfProfile, autotune,
                              format_profile, load_profile, measure_profile,
-                             mlups, optimal_m, parse_profile, predict,
-                             save_profile, whatif)
+                             mlups, optimal_m, paired_ratios, parse_profile,
+                             predict, sample, save_profile, whatif)
 
 REF = PerfProfile(tau_d=1e-9, tau_h=3e-9, tau_c=2e-4, t_swap=5e-5)
 
@@ -221,13 +222,27 @@ def test_autotune_rejects_degenerate_runners(sample):
         sample(SyntheticRunner(), 0)
 
 
-def test_measure_profile_samples_each_measurand_in_a_seeded_order():
+def _profile_calls(runner, warmup, rounds):
+    measure_profile(runner, warmup=warmup, rounds=rounds,
+                    extra=[runner.time_extra])
+
+
+def _sample_calls(runner, warmup, rounds):
+    """The same measurands as `_profile_calls`, given to `sample` directly."""
+    measurands = [partial(runner.time_compute, pool, runner.compute_sizes(pool))
+                  for pool in ("device", "host")]
+    sample(measurands + [runner.time_comm, runner.time_swap, runner.time_extra],
+           warmup=warmup, rounds=rounds)
+
+
+@pytest.mark.parametrize("run", [_profile_calls, _sample_calls],
+                         ids=["measure_profile", "sample"])
+def test_measure_profile_samples_each_measurand_in_a_seeded_order(run):
     warmup, rounds = 2, 5
     logs = []
     for _ in range(2):
         runner = SyntheticRunner()
-        measure_profile(runner, warmup=warmup, rounds=rounds,
-                        extra=[runner.time_extra])
+        run(runner, warmup, rounds)
         logs.append(runner.calls)
     assert logs[0] == logs[1]
     counts = Counter(logs[0])
@@ -238,3 +253,25 @@ def test_measure_profile_samples_each_measurand_in_a_seeded_order():
     orders = {tuple(timed[i:i + 2 * len(counts):2])
               for i in range(0, len(timed), 2 * len(counts))}
     assert len(orders) > 1  # reshuffled between rounds
+
+
+def test_paired_ratios_cancel_drift_between_rounds():
+    """B takes exactly 2x A's time in every round while the rounds' absolute
+    times drift 3x: the same-round ratio reads 2 with no spread."""
+    warmup, rounds = 1, 9
+    calls = Counter()
+
+    def measurand(name, factor):
+        def seconds():
+            calls[name] += 1
+            r = max(calls[name] - 1 - warmup, 0) // 2  # this call's round
+            return factor * (1e-3 * (1 + 2 * r / (rounds - 1)))
+        return seconds
+
+    a, b = sample([measurand("a", 1.0), measurand("b", 2.0)],
+                  warmup=warmup, rounds=rounds)
+    assert max(a) == pytest.approx(3 * min(a))
+    assert paired_ratios(b, a) == {"ratio": 2.0, "ratio_q1": 2.0,
+                                   "ratio_q3": 2.0}
+    assert paired_ratios(a, a) == {"ratio": 1.0, "ratio_q1": 1.0,
+                                   "ratio_q3": 1.0}
