@@ -18,8 +18,9 @@ import numpy as np
 from .config import DEFAULTS, build_run_config, load_config
 from .errors import (CommunicationFault, ConfigurationError, LbhxError,
                      RuntimeFault, ValidationFailure)
-from .hetero import (HeteroTuningRunner, balance_experiment, make_partition,
-                     random_state, runtime_from_config, tune_profile)
+from .hetero import (HeteroTuningRunner, balance_experiment, device_lanes,
+                     make_partition, random_state, runtime_from_config,
+                     tune_profile)
 from .kernels import (collide_region, interior_region, propagate_region,
                       run_steps, update_x_halos_periodic)
 from .layouts import (Family, FieldBuffer, LayoutDescriptor,
@@ -147,6 +148,7 @@ def cmd_sweep_balance(cfg, args) -> BenchReport:
     report = BenchReport("sweep-balance", metadata={
         "model": cfg.model_name, "lx": str(lx), "ly": str(ly),
         "device_throttle": str(cfg.device_throttle),
+        "device_lanes": str(rt.lanes),
         "m_star": str(m_star), "m_star_frac": repr(2 * m_star / lx),
         "profile.tau_d": repr(profile.tau_d),
         "profile.tau_h": repr(profile.tau_h),
@@ -207,29 +209,37 @@ def cmd_scale(cfg, args) -> BenchReport:
     from .distributed import run_distributed
 
     rank_counts = [int(r) for r in args.ranks.split(",")]
+    lanes = {n: device_lanes(n) for n in rank_counts}
     model = builtin_model(cfg.model_name)
     state = random_state(model, cfg.lx, cfg.ly, cfg.seed)
     # v2 runs each rank at hetero.m, or else at M* for its own slice width
-    profile = tune_profile(cfg, state) if cfg.m == 0 else None
+    # from a profile tuned at the lane count its ranks run with
+    tuned = {}  # lane count -> profile
+    for n in rank_counts:
+        if cfg.m == 0 and lanes[n] not in tuned:
+            tuned[lanes[n]] = tune_profile(dataclasses.replace(cfg, ranks=n),
+                                           state)
 
     report = BenchReport("scale", metadata={
         "model": cfg.model_name, "lx": str(cfg.lx), "ly": str(cfg.ly),
         "transport": args.transport,
         "device_throttle": str(cfg.device_throttle),
+        "device_lanes": ",".join(str(lanes[n]) for n in rank_counts),
     })
     finals: dict[tuple, np.ndarray] = {}
     base: dict[str, float] = {}
-    for mode, c, prof in (("v1", dataclasses.replace(cfg, m=0), None),
-                          ("v2", cfg, profile)):
+    for mode, c in (("v1", dataclasses.replace(cfg, m=0)), ("v2", cfg)):
         for n in rank_counts:
             _, merged, results = run_distributed(
-                c, n, args.transport, initial_state=state, profile=prof)
+                c, n, args.transport, initial_state=state,
+                profile=tuned.get(lanes[n]) if mode == "v2" else None)
             finals[(mode, n)] = merged
             t = statistics.median(
                 t for r in results for t in r.iteration_times)
             rate = mlups(cfg.lx, cfg.ly, t)
             base.setdefault(mode, rate)
-            report.add_row(ranks=n, mode=mode, m=results[0].m, mlups=rate,
+            report.add_row(ranks=n, lanes=lanes[n], mode=mode,
+                           m=results[0].m, mlups=rate,
                            speedup=rate / base[mode])
     reference = finals[("v1", rank_counts[0])]
     for key, merged in finals.items():
@@ -321,6 +331,7 @@ def cmd_autotune(cfg, args) -> BenchReport:
     report = BenchReport("autotune", metadata={
         "model": cfg.model_name, "lx": str(cfg.lx), "ly": str(cfg.ly),
         "device_throttle": str(cfg.device_throttle),
+        "device_lanes": str(rt.lanes),
     })
     report.add_row(tau_d=profile.tau_d, tau_h=profile.tau_h,
                    tau_c=profile.tau_c, t_swap=profile.t_swap,
@@ -361,7 +372,8 @@ def cmd_dump(cfg, args) -> int:
     buf.set_canonical(final)
     write_dump(args.out, buf)
     print(f"wrote {args.out}: {cfg.model_name} {cfg.lx}x{cfg.ly} after "
-          f"{cfg.iterations} iterations"
+          f"{cfg.iterations} iterations, "
+          f"device_lanes={report.metadata['device_lanes']}"
           + (f", mlups={float(report.metadata['mlups']):.3f}"
              if "mlups" in report.metadata else ""))
     return 0

@@ -111,6 +111,8 @@ class RunConfig:
     device_throttle: float
     iterations: int
     seed: int
+    #: ranks sharing this host's CPUs; set by the rank driver, by no key
+    ranks: int = 1
 
     @property
     def geometry(self) -> Geometry:

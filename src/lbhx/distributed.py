@@ -355,8 +355,9 @@ def _rank_body(cfg, layout: RankLayout, m: int, transport: Transport,
     try:
         # load_state's exchange is the first to pair each rank with its
         # neighbours, so no start barrier is needed
-        with runtime_from_config(replace(cfg, lx=layout.width),
-                                 rank_exchange=exchanger) as rt:
+        with runtime_from_config(
+                replace(cfg, lx=layout.width, ranks=layout.n_ranks),
+                rank_exchange=exchanger) as rt:
             rt.load_state(initial_slice)
             plan = make_partition(rt.geom, m)
             transport.reset_counters()
@@ -436,7 +437,7 @@ def _run_ranks(bodies: list, transports: list[Transport],
     child (`fork`) or a thread; returns each rank's `_outcome`.
 
     Forking happens here, on the calling thread, which has started no
-    thread yet; each rank starts its device thread only inside its body.
+    thread yet; each rank starts its device lanes only inside its body.
     The caller closes its copies of the children's links before it runs
     rank 0, so a child that dies reads to its neighbours as a closed link.
     A failed fork closes the links of the ranks not yet launched, so the
@@ -508,7 +509,7 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
     """
     import statistics
 
-    from .hetero import random_state, rank_border_widths
+    from .hetero import device_lanes, random_state, rank_border_widths
     from .kernels import load_kernel
     from .model import builtin_model
     from .perf_model import mlups
@@ -548,6 +549,7 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
     report = BenchReport("distributed", metadata={
         "n_ranks": str(n_ranks), "transport": transport_kind,
         "lx": str(cfg.lx), "ly": str(cfg.ly), "model": model.name,
+        "device_lanes": str(device_lanes(n_ranks)),
     })
     if cfg.iterations > 0:
         per_iter = [max(r.iteration_times[i] for r in results)

@@ -2,35 +2,41 @@
 accelerator.
 
 The lattice slice is partitioned into left border, bulk and right border.
-The bulk lives in a separate buffer owned by the "device" (a dedicated
-worker thread, optionally throttled to emulate a slower accelerator); the
-borders live in the host buffer.  Each step:
+The bulk lives in a separate buffer owned by the "device", optionally
+throttled to emulate a slower accelerator; the borders live in the host
+buffer.  The device is `lanes` worker threads, one per core the rank owns:
+lanes = usable CPUs // ranks sharing them, at least one.  Each step:
 
   1. the host exchanges rank halos (periodic wrap when running standalone),
-  2. the bulk kernels are enqueued on the device's ordered queue,
-  3. the calling thread runs the same kernels on both borders meanwhile,
+  2. the bulk is cut into one contiguous column slab per lane and each lane
+     runs the fused kernel on its slab,
+  3. the calling thread runs the same kernel on both borders meanwhile,
   4. barrier, then the H columns adjacent to each bulk boundary are swapped
      between the two buffers in both directions.
 
 Each track runs the fused kernel on its regions and then flips its buffer's
-arenas, so step 4 and the next exchange write the new prv.  The columns a
-track does not compute are scratch, which a change of plan first overwrites
-with each buffer's state.
+arenas once, so step 4 and the next exchange write the new prv.  The columns
+a track does not compute are scratch, which a change of plan first
+overwrites with each buffer's state.  The kernel reads only prv and writes
+only its region of nxt, so the slabs need no halo of their own.
 
 When M < H the bulk stencil reaches into the rank halo columns, so those are
 additionally pushed host->device right after the exchange, before the device
-kernels launch.  The end state is bit-identical for every legal M and
-throttle.
+kernels launch.  The end state is bit-identical for every legal M, throttle
+and lane count.
 """
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
+from .distributed import decompose_x
 from .errors import ConfigurationError, RuntimeFault
 from .kernels import BoundaryPolicy, Region, stream_collide_region
 from .layouts import FieldBuffer, Geometry, LayoutDescriptor
@@ -75,6 +81,23 @@ def make_partition(geom: Geometry, m: int) -> PartitionPlan:
     return PartitionPlan(m=m, geom=geom, left=left, bulk=bulk, right=right)
 
 
+def device_lanes(ranks: int = 1) -> int:
+    """Worker threads of one rank's device: the CPUs this process may run
+    on, shared out among the `ranks` ranks on this host, at least one."""
+    return max(1, len(os.sched_getaffinity(0)) // ranks)
+
+
+@lru_cache(maxsize=64)  # a step would spend about 6 us on it
+def column_slabs(region: Region, lanes: int) -> tuple[Region, ...]:
+    """`region` cut into min(lanes, columns) contiguous column slabs, none
+    empty, as the ranks cut a lattice: widths differ by at most one, the
+    wider ones first."""
+    x0, width = region.x_begin, region.x_end - region.x_begin
+    return tuple(Region(x0 + s.x0, x0 + s.x0 + s.width, region.y_begin,
+                        region.y_end)
+                 for s in decompose_x(width, min(lanes, width), halo=0))
+
+
 @dataclass
 class TimestepTiming:
     t_acc: float = 0.0
@@ -84,24 +107,26 @@ class TimestepTiming:
     t_exe: float = 0.0
 
 
-#: Seconds a step waits for the device queue to drain before it fails with a
+#: Seconds a step waits for the device lanes to finish before it fails with a
 #: RuntimeFault.
 WATCHDOG_TIMEOUT = 120.0
 
 
 class HeteroRuntime:
-    """Orchestrates one rank's buffers, device queue and halo movement.
+    """Orchestrates one rank's buffers, device lanes and halo movement.
 
     `rank_exchange` is called with the host buffer at the start of every step
     and must refresh the outer halo columns; the default performs a periodic
-    X wrap (single-rank operation).  One runtime per rank; not reentrant.
+    X wrap (single-rank operation).  `ranks` is the number of ranks sharing
+    this host's CPUs, which sets the device's lane count.  One runtime per
+    rank; not reentrant.
     """
 
     def __init__(self, model: LatticeModel, params: ModelParams,
                  desc: LayoutDescriptor, geom: Geometry,
                  device_throttle: float = 1.0,
                  policy: BoundaryPolicy | None = None,
-                 rank_exchange=None):
+                 rank_exchange=None, ranks: int = 1):
         if geom.halo < model.R:
             raise ConfigurationError(
                 f"halo width {geom.halo} < model reach {model.R}")
@@ -115,14 +140,20 @@ class HeteroRuntime:
         self.device_buf = FieldBuffer(desc, geom, model.Q)
         self.rank_exchange = rank_exchange or self._periodic_exchange
         self._plan: PartitionPlan | None = None
-        # single dispatcher thread = the accelerator's ordered logical queue
-        self._device_queue = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="lbhx-device")
+        # one single-thread queue per lane, so slab i always runs on lane i
+        self._lanes = [ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"lbhx-device{i}")
+            for i in range(device_lanes(ranks))]
+
+    @property
+    def lanes(self) -> int:
+        return len(self._lanes)
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        self._device_queue.shutdown(wait=True)
+        for lane in self._lanes:
+            lane.shutdown(wait=True)
 
     def __enter__(self):
         return self
@@ -192,17 +223,43 @@ class HeteroRuntime:
                                   self.policy)
         buf.swap()
 
-    def _device_compute(self, plan: PartitionPlan) -> float:
-        """Bulk kernels on the device buffer; returns the thread CPU time.
-
-        CPU time rather than wall time, so that host work sharing the cores
-        with the emulated device does not leak into the device cost.
-        """
-        if plan.bulk is None:
-            return 0.0
+    def _slab(self, buf: FieldBuffer, region: Region) -> float:
+        """One lane's share of a device step; returns its thread CPU time."""
         t0 = time.thread_time()
-        self._run_kernels(self.device_buf, [plan.bulk])
+        stream_collide_region(self.model, self.params, buf, region,
+                              self.policy)
         return time.thread_time() - t0
+
+    def _device_compute(self, buf: FieldBuffer, region: Region | None,
+                        meanwhile=None) -> float:
+        """The device's step on `region` of `buf`: one column slab per lane,
+        all at once, then one arena flip.  Returns the slowest lane's thread
+        CPU time; with no region it runs and flips nothing and returns 0.
+
+        `meanwhile` runs on the calling thread while the lanes work.  CPU
+        time rather than wall time, so that host work sharing the cores with
+        the lanes does not leak into the device cost.  A lane's fault is
+        raised once every lane has stopped, naming its slab's region.
+        """
+        slabs = column_slabs(region, self.lanes) if region is not None else ()
+        futures = [lane.submit(self._slab, buf, slab)
+                   for lane, slab in zip(self._lanes, slabs)]
+        if meanwhile is not None:
+            meanwhile()
+        # one deadline for every lane; futures.wait would add about 40 us
+        deadline = time.perf_counter() + WATCHDOG_TIMEOUT
+        try:
+            for f in futures:
+                f.exception(timeout=deadline - time.perf_counter())
+        except FutureTimeoutError:
+            raise RuntimeFault(
+                f"device lanes did not finish within {WATCHDOG_TIMEOUT}s "
+                f"(phase: bulk kernels, region {region})") from None
+        if not futures:
+            return 0.0
+        cpu = max(f.result() for f in futures)
+        buf.swap()
+        return cpu
 
     def _host_phase(self, plan: PartitionPlan) -> float:
         regions = [r for r in (plan.left, plan.right) if r is not None]
@@ -218,12 +275,12 @@ class HeteroRuntime:
                      skip_halo_swap: bool = False) -> TimestepTiming:
         """One full step per the concurrent control flow; state ends in prv.
 
-        The device phase runs concurrently on its dispatcher thread while the
-        main thread does the rank exchange and the host borders.  The device
-        cost is its thread CPU time scaled by the throttle, and the step waits
-        out the remainder of that busy window with a main-thread sleep, so the
-        measured wall time stays faithful to max(t_acc, t_host + t_mpi) +
-        t_swap even when both phases share cores.
+        The device lanes run their bulk slabs while the main thread does the
+        rank exchange and the host borders.  The device cost t_acc is the
+        slowest lane's thread CPU time scaled by the throttle, and the step
+        waits out the remainder of that busy window with a main-thread sleep,
+        so the measured wall time stays faithful to max(t_acc, t_host + t_mpi)
+        + t_swap even when both tracks share cores.
         """
         if self._plan is not None and plan != self._plan:
             # a plan leaves the columns it does not compute stale in the
@@ -242,22 +299,16 @@ class HeteroRuntime:
             timing.t_mpi = time.perf_counter() - t0
             self._push_rank_halos_to_device()
 
+        def host_track() -> None:
+            if not early_exchange:
+                t0 = time.perf_counter()
+                self.rank_exchange(self.host_buf)
+                timing.t_mpi = time.perf_counter() - t0
+            timing.t_host = self._host_phase(plan)
+
         t_launch = time.perf_counter()
-        compute_future = self._device_queue.submit(self._device_compute, plan)
-
-        if not early_exchange:
-            t0 = time.perf_counter()
-            self.rank_exchange(self.host_buf)
-            timing.t_mpi = time.perf_counter() - t0
-        timing.t_host = self._host_phase(plan)
-
-        try:
-            compute_cpu = compute_future.result(timeout=WATCHDOG_TIMEOUT)
-        except FutureTimeoutError:
-            raise RuntimeFault(
-                f"device queue did not drain within {WATCHDOG_TIMEOUT}s "
-                f"(phase: bulk kernels, M={plan.m})") from None
-        timing.t_acc = compute_cpu * self.device_throttle
+        timing.t_acc = self.device_throttle * self._device_compute(
+            self.device_buf, plan.bulk, host_track)
 
         # the device stays busy for throttle x its compute time; if the host
         # track finished first, wait out the rest of the device window
@@ -281,7 +332,7 @@ SAMPLE_FLOOR = 2e-3
 
 class HeteroTuningRunner:
     """perf_model.TuningRunner backed by a live runtime's host thread and
-    device queue.
+    device lanes.
 
     Times the full kernel pipeline on scratch regions of varying width, the
     rank-halo exchange, and the device<->host halo swap, without touching the
@@ -319,13 +370,14 @@ class HeteroTuningRunner:
         regions = [self._region(s // self.rt.geom.ly) for s in sizes]
         rt = self.rt
 
-        def body(clock, idle: float) -> list[float]:
+        def host_step(region: Region) -> float:
+            return time_call(rt._run_kernels, self._scratch, [region])
+
+        def body(step, idle: float) -> list[float]:
             spent, turns = [0.0] * len(regions), 0
             while sum(spent) < SAMPLE_FLOOR * len(regions):
                 for i, region in enumerate(regions):
-                    t0 = clock()
-                    rt._run_kernels(self._scratch, [region])
-                    dt = clock() - t0
+                    dt = step(region)
                     spent[i] += dt
                     if idle:
                         time.sleep(idle * dt)
@@ -333,15 +385,15 @@ class HeteroTuningRunner:
             return [s / turns for s in spent]
 
         if pool == "host":
-            return body(time.perf_counter, 0.0)
+            return body(host_step, 0.0)
         if pool == "device":
-            # device cost is thread CPU time x throttle, matching the step's
-            # accounting.  In a step the device thread then idles for
-            # (throttle - 1) x its CPU time while the step pads out its busy
-            # window, and its next step starts from that idle state; each
+            # the step's own device path and accounting: the slowest lane's
+            # thread CPU time x throttle.  In a step the lanes then idle for
+            # (throttle - 1) x that time while the step pads out its busy
+            # window, and their next step starts from that idle state; each
             # sampled step idles the same, so it costs what a step's does
-            cpu = rt._device_queue.submit(
-                body, time.thread_time, rt.device_throttle - 1).result()
+            cpu = body(partial(rt._device_compute, self._scratch),
+                       rt.device_throttle - 1)
             return [c * rt.device_throttle for c in cpu]
         raise ConfigurationError(f"unknown pool {pool!r}")
 
@@ -408,12 +460,14 @@ def runtime_from_config(cfg, rank_exchange=None) -> HeteroRuntime:
         device_throttle=cfg.device_throttle,
         policy=cfg.policy,
         rank_exchange=rank_exchange,
+        ranks=cfg.ranks,
     )
 
 
 def tune_profile(cfg, state: np.ndarray) -> PerfProfile:
-    """Measure a time-model profile on a one-rank runtime of the whole
-    configured lattice, loaded with `state`."""
+    """Measure a time-model profile on a runtime of the whole configured
+    lattice, loaded with `state`, whose device has the lanes of one of
+    `cfg.ranks` ranks."""
     with runtime_from_config(cfg) as rt:
         rt.load_state(state)
         return autotune(HeteroTuningRunner(rt), warmup=2, iters=8)

@@ -17,6 +17,8 @@ def machine_fingerprint(extra: dict[str, str] | None = None) -> dict[str, str]:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "cores": str(os.cpu_count() or 1),
+        # the CPUs this process may run on, which cores can exceed
+        "affinity": str(len(os.sched_getaffinity(0))),
     }
     if extra:
         fp.update(extra)

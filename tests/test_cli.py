@@ -186,16 +186,23 @@ def test_config_file_and_flags(tmp_path, capsys):
     assert code == 1 and "KEY=VALUE" in err
 
 
-def test_scale_structure(capsys):
+def test_scale_structure(capsys, monkeypatch):
+    """On 2 usable CPUs one rank runs 2 device lanes and each of 2 ranks 1,
+    and the report says so."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
     code, out, err = run_cli(capsys, "scale", "--ranks", "1,2",
                              "--transport", "in_memory",
                              "--lattice-lx", "48", "--lattice-ly", "16",
                              "--run-iterations", "2", "--hetero-m", "4")
     assert code == 0, err
     report = BenchReport.from_csv(out)
-    assert report.columns == ["ranks", "mode", "m", "mlups", "speedup"]
+    assert report.columns == ["ranks", "lanes", "mode", "m", "mlups",
+                              "speedup"]
     assert len(report.rows) == 4  # 2 rank counts x {v1, v2}
     assert [r["m"] for r in report.rows] == [0, 0, 4, 4]
+    assert [r["lanes"] for r in report.rows] == [2, 1, 2, 1]
+    assert report.metadata["device_lanes"] == "2,1"
+    assert report.metadata["machine.affinity"] == "2"
     assert report.metadata["finals_identical"] == "true"
     for mode in ("v1", "v2"):
         first = next(r for r in report.rows if r["mode"] == mode)

@@ -170,13 +170,17 @@ def test_compute_samples_last_the_floor(monkeypatch, pool):
         rt.load_state(random_state(model, GEOM.lx, GEOM.ly, 2))
         runner = HeteroTuningRunner(rt)
         widths = []
-        run_kernels = rt._run_kernels
+        # a host sample is one _run_kernels call, a device sample one
+        # _device_compute call
+        name = "_run_kernels" if pool == "host" else "_device_compute"
+        step = getattr(rt, name)
 
         def logged(buf, regions):
-            widths.append(regions[0].x_end - regions[0].x_begin)
-            run_kernels(buf, regions)
+            region = regions[0] if pool == "host" else regions
+            widths.append(region.x_end - region.x_begin)
+            return step(buf, regions)
 
-        monkeypatch.setattr(rt, "_run_kernels", logged)
+        monkeypatch.setattr(rt, name, logged)
         per_call = runner.time_compute(pool, runner.compute_sizes(pool))
     turns = len(widths) // len(runner.widths)
     assert turns >= 2
