@@ -30,6 +30,7 @@ from functools import partial
 import numpy as np
 
 from .errors import CommunicationFault, ConfigurationError, PeerClosedFault
+from .kernels import update_x_halos_periodic
 from .layouts import FieldBuffer
 
 _HEADER = struct.Struct("<IQ")
@@ -303,7 +304,6 @@ def exchange_rank_halos(buf: FieldBuffer, layout: RankLayout,
     if h == 0:
         return
     if layout.n_ranks == 1:
-        from .kernels import update_x_halos_periodic
         update_x_halos_periodic(buf, "prv")
         return
     left_edge = _pack_columns(buf, h, h)            # interior left edge

@@ -11,7 +11,8 @@ lanes = usable CPUs // ranks sharing them, at least one.  Each step:
   2. the bulk is cut into one contiguous column slab per lane and each lane
      runs the fused kernel on its slab,
   3. the calling thread runs the same kernel on both borders meanwhile,
-  4. barrier, then the H columns adjacent to each bulk boundary are swapped
+  4. once the device's busy window, throttle x its slowest lane's CPU time,
+     has passed, the H columns adjacent to each bulk boundary are swapped
      between the two buffers in both directions.
 
 Each track runs the fused kernel on its regions and then flips its buffer's
@@ -32,13 +33,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .distributed import decompose_x
 from .errors import ConfigurationError, RuntimeFault
-from .kernels import BoundaryPolicy, Region, stream_collide_region
+from .kernels import (BoundaryPolicy, Region, stream_collide_region,
+                      update_x_halos_periodic)
 from .layouts import FieldBuffer, Geometry, LayoutDescriptor
 from .model import LatticeModel, ModelParams
 from .perf_model import (PerfProfile, autotune, measure_profile, optimal_m,
@@ -54,18 +56,6 @@ class PartitionPlan:
     left: Region | None
     bulk: Region | None
     right: Region | None
-
-    @property
-    def border_sites(self) -> int:
-        total = 0
-        for r in (self.left, self.right):
-            if r is not None:
-                total += r.sites
-        return total
-
-    @property
-    def bulk_sites(self) -> int:
-        return self.bulk.sites if self.bulk is not None else 0
 
 
 def make_partition(geom: Geometry, m: int) -> PartitionPlan:
@@ -138,7 +128,7 @@ class HeteroRuntime:
         self.policy = policy or BoundaryPolicy()
         self.host_buf = FieldBuffer(desc, geom, model.Q)
         self.device_buf = FieldBuffer(desc, geom, model.Q)
-        self.rank_exchange = rank_exchange or self._periodic_exchange
+        self.rank_exchange = rank_exchange or update_x_halos_periodic
         self._plan: PartitionPlan | None = None
         # one single-thread queue per lane, so slab i always runs on lane i
         self._lanes = [ThreadPoolExecutor(
@@ -185,10 +175,6 @@ class HeteroRuntime:
 
     # -- halo movement -------------------------------------------------------
 
-    def _periodic_exchange(self, buf: FieldBuffer) -> None:
-        from .kernels import update_x_halos_periodic
-        update_x_halos_periodic(buf, "prv")
-
     def _push_rank_halos_to_device(self) -> None:
         g = self.geom
         h = g.halo
@@ -215,13 +201,18 @@ class HeteroRuntime:
 
     # -- kernel execution ----------------------------------------------------
 
-    def _run_kernels(self, buf: FieldBuffer, regions: list[Region]) -> None:
-        """The fused step on every region, then one arena flip, so the new
-        state is in prv; callers pass at least one region."""
+    def _host_compute(self, buf: FieldBuffer, regions: list[Region]) -> float:
+        """The host's step: the fused kernel on every region, then one arena
+        flip, so the new state is in prv.  Returns its wall seconds; with no
+        region it runs and flips nothing and returns 0."""
+        if not regions:
+            return 0.0
+        t0 = time.perf_counter()
         for region in regions:
             stream_collide_region(self.model, self.params, buf, region,
                                   self.policy)
         buf.swap()
+        return time.perf_counter() - t0
 
     def _slab(self, buf: FieldBuffer, region: Region) -> float:
         """One lane's share of a device step; returns its thread CPU time."""
@@ -233,14 +224,17 @@ class HeteroRuntime:
     def _device_compute(self, buf: FieldBuffer, region: Region | None,
                         meanwhile=None) -> float:
         """The device's step on `region` of `buf`: one column slab per lane,
-        all at once, then one arena flip.  Returns the slowest lane's thread
-        CPU time; with no region it runs and flips nothing and returns 0.
+        all at once, then one arena flip.  Returns t_acc, the throttle times
+        the slowest lane's thread CPU time, and returns no sooner than t_acc
+        after its launch: the emulated device is busy for that whole window.
+        With no region it runs and flips nothing and returns 0.
 
         `meanwhile` runs on the calling thread while the lanes work.  CPU
         time rather than wall time, so that host work sharing the cores with
         the lanes does not leak into the device cost.  A lane's fault is
         raised once every lane has stopped, naming its slab's region.
         """
+        t_launch = time.perf_counter()
         slabs = column_slabs(region, self.lanes) if region is not None else ()
         futures = [lane.submit(self._slab, buf, slab)
                    for lane, slab in zip(self._lanes, slabs)]
@@ -257,30 +251,24 @@ class HeteroRuntime:
                 f"(phase: bulk kernels, region {region})") from None
         if not futures:
             return 0.0
-        cpu = max(f.result() for f in futures)
+        t_acc = self.device_throttle * max(f.result() for f in futures)
         buf.swap()
-        return cpu
-
-    def _host_phase(self, plan: PartitionPlan) -> float:
-        regions = [r for r in (plan.left, plan.right) if r is not None]
-        if not regions:
-            return 0.0
-        t0 = time.perf_counter()
-        self._run_kernels(self.host_buf, regions)
-        return time.perf_counter() - t0
+        pad = t_launch + t_acc - time.perf_counter()
+        if pad > 0:
+            time.sleep(pad)
+        return t_acc
 
     # -- the step ------------------------------------------------------------
 
-    def run_timestep(self, plan: PartitionPlan,
-                     skip_halo_swap: bool = False) -> TimestepTiming:
+    def run_timestep(self, plan: PartitionPlan) -> TimestepTiming:
         """One full step per the concurrent control flow; state ends in prv.
 
         The device lanes run their bulk slabs while the main thread does the
-        rank exchange and the host borders.  The device cost t_acc is the
-        slowest lane's thread CPU time scaled by the throttle, and the step
-        waits out the remainder of that busy window with a main-thread sleep,
-        so the measured wall time stays faithful to max(t_acc, t_host + t_mpi)
-        + t_swap even when both tracks share cores.
+        rank exchange and the host borders.  `_device_compute` returns once
+        the device's busy window, t_acc = throttle x the slowest lane's
+        thread CPU time, has passed, so the measured wall time stays faithful
+        to max(t_acc, t_host + t_mpi) + t_swap even when both tracks share
+        cores.
         """
         if self._plan is not None and plan != self._plan:
             # a plan leaves the columns it does not compute stale in the
@@ -290,43 +278,35 @@ class HeteroRuntime:
         self._plan = plan
         timing = TimestepTiming()
         t_begin = time.perf_counter()
-        h = self.geom.halo
-        early_exchange = plan.m < h  # bulk stencil reaches the rank halos
+        early_exchange = plan.m < self.geom.halo  # bulk reaches the rank halos
+        borders = [r for r in (plan.left, plan.right) if r is not None]
 
-        if early_exchange:
+        def exchange() -> None:
             t0 = time.perf_counter()
             self.rank_exchange(self.host_buf)
             timing.t_mpi = time.perf_counter() - t0
-            self._push_rank_halos_to_device()
 
         def host_track() -> None:
             if not early_exchange:
-                t0 = time.perf_counter()
-                self.rank_exchange(self.host_buf)
-                timing.t_mpi = time.perf_counter() - t0
-            timing.t_host = self._host_phase(plan)
+                exchange()
+            timing.t_host = self._host_compute(self.host_buf, borders)
 
-        t_launch = time.perf_counter()
-        timing.t_acc = self.device_throttle * self._device_compute(
-            self.device_buf, plan.bulk, host_track)
-
-        # the device stays busy for throttle x its compute time; if the host
-        # track finished first, wait out the rest of the device window
-        pad = timing.t_acc - (time.perf_counter() - t_launch)
-        if pad > 0:
-            time.sleep(pad)
-
-        if not skip_halo_swap:
-            t0 = time.perf_counter()
-            self.halo_swap_device_host(plan)
-            timing.t_swap = time.perf_counter() - t0
+        if early_exchange:
+            exchange()
+            self._push_rank_halos_to_device()
+        timing.t_acc = self._device_compute(self.device_buf, plan.bulk,
+                                            host_track)
+        t0 = time.perf_counter()
+        self.halo_swap_device_host(plan)
+        timing.t_swap = time.perf_counter() - t0
         timing.t_exe = time.perf_counter() - t_begin
         return timing
 
 
 # -- auto-tuning harness -----------------------------------------------------
 
-#: Least duration of one compute sample per size, in seconds of its clock.
+#: Least duration of one compute sample per size, in the seconds its pool's
+#: compute returns: wall time on the host, t_acc on the device.
 SAMPLE_FLOOR = 2e-3
 
 
@@ -362,40 +342,26 @@ class HeteroTuningRunner:
         return [w * self.rt.geom.ly for w in self.widths]
 
     def time_compute(self, pool: str, sizes: list[int]) -> list[float]:
-        """Seconds per kernel step at each of `sizes` (sites).  The sizes
-        take turns, one step each, until the sample lasts SAMPLE_FLOOR per
-        size: a change of host speed during the sample then reaches every
-        size alike, and timer resolution and per-call jitter are a small
-        share of every size's time."""
-        regions = [self._region(s // self.rt.geom.ly) for s in sizes]
-        rt = self.rt
-
-        def host_step(region: Region) -> float:
-            return time_call(rt._run_kernels, self._scratch, [region])
-
-        def body(step, idle: float) -> list[float]:
-            spent, turns = [0.0] * len(regions), 0
-            while sum(spent) < SAMPLE_FLOOR * len(regions):
-                for i, region in enumerate(regions):
-                    dt = step(region)
-                    spent[i] += dt
-                    if idle:
-                        time.sleep(idle * dt)
-                turns += 1
-            return [s / turns for s in spent]
-
-        if pool == "host":
-            return body(host_step, 0.0)
-        if pool == "device":
-            # the step's own device path and accounting: the slowest lane's
-            # thread CPU time x throttle.  In a step the lanes then idle for
-            # (throttle - 1) x that time while the step pads out its busy
-            # window, and their next step starts from that idle state; each
-            # sampled step idles the same, so it costs what a step's does
-            cpu = body(partial(rt._device_compute, self._scratch),
-                       rt.device_throttle - 1)
-            return [c * rt.device_throttle for c in cpu]
-        raise ConfigurationError(f"unknown pool {pool!r}")
+        """Seconds per step of `pool`'s compute at each of `sizes` (sites),
+        in that pool's own seconds: wall time on the host, t_acc on the
+        device, each from the call the step makes.  The sizes take turns,
+        one step each, until the sample lasts SAMPLE_FLOOR per size: a
+        change of host speed during the sample then reaches every size
+        alike, and timer resolution and per-call jitter are a small share of
+        every size's time."""
+        rt, buf = self.rt, self._scratch
+        steps = {"host": lambda region: rt._host_compute(buf, [region]),
+                 "device": lambda region: rt._device_compute(buf, region)}
+        if pool not in steps:
+            raise ConfigurationError(f"unknown pool {pool!r}")
+        step = steps[pool]
+        regions = [self._region(s // rt.geom.ly) for s in sizes]
+        spent, turns = [0.0] * len(regions), 0
+        while sum(spent) < SAMPLE_FLOOR * len(regions):
+            for i, region in enumerate(regions):
+                spent[i] += step(region)
+            turns += 1
+        return [s / turns for s in spent]
 
     def time_comm(self) -> float:
         return time_call(self.rt.rank_exchange, self._scratch)

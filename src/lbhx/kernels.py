@@ -469,11 +469,10 @@ def stream_collide_region(model: LatticeModel, params: ModelParams,
     view = buf.view("prv")  # a view of the whole of prv, from its start
     strides = [s // prv.itemsize for s in view.strides]
     walls = policy.y_mode == WALL_BOUNCE_BACK
-    block_sites = max(1, BLOCK_SITES)
     failed = load_kernel()(
         prv.ctypes.data, nxt.ctypes.data, *strides, view.shape[3],
         buf.geom.ly, region.x_begin, region.x_end, region.y_begin,
-        region.y_end, walls, block_sites, *_coefficients(model, params)[1])
+        region.y_end, walls, BLOCK_SITES, *_coefficients(model, params)[1])
     if failed:
         raise RuntimeFault(f"cannot allocate {failed} bytes for region "
                            f"{region} (phase: fused kernel block buffer)")

@@ -51,9 +51,6 @@ class PerfProfile:
         if self.tau_c < 0 or self.t_swap < 0:
             raise ConfigurationError("tau_c and t_swap must be non-negative")
 
-    def with_overrides(self, **kw) -> "PerfProfile":
-        return replace(self, **kw)
-
 
 @dataclass(frozen=True)
 class Prediction:
@@ -117,7 +114,7 @@ def whatif(profile: PerfProfile, lx: int, ly: int,
             raise ConfigurationError(f"unknown profile parameter {key!r}")
         if overrides[key] < 0:
             raise ConfigurationError(f"override {key} must be non-negative")
-    prof = profile.with_overrides(**overrides)
+    prof = replace(profile, **overrides)
     return [predict(prof, lx, ly, m) for m in range(0, lx // 2 + 1, m_step)]
 
 
@@ -128,9 +125,9 @@ class TuningRunner(Protocol):
         """Region sizes (sites) to sample on the given pool (host/device)."""
 
     def time_compute(self, pool: str, sizes: list[int]) -> list[float]:
-        """Seconds for one propagate+bc+collide iteration at each of `sizes`
-        (sites), timed together so that host noise reaches every size
-        alike."""
+        """Seconds for one fused step of the pool at each of `sizes` (sites),
+        in the pool's own seconds (t_acc on the device), timed together so
+        that host noise reaches every size alike."""
 
     def time_comm(self) -> float:
         """Seconds for one inter-rank halo exchange."""

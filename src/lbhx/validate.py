@@ -230,11 +230,12 @@ def check_hetero_equivalence(inject_skip_halo_swap: bool = False,
     finals = {}
     for m in (0, 8, 12):
         with HeteroRuntime(model, params, desc, geom) as rt:
+            if inject_skip_halo_swap and m > 0:
+                rt.halo_swap_device_host = lambda plan: None
             rt.load_state(init)
             plan = make_partition(geom, m)
             for _ in range(10):
-                rt.run_timestep(plan,
-                                skip_halo_swap=(inject_skip_halo_swap and m > 0))
+                rt.run_timestep(plan)
             finals[m] = rt.state(plan)
     baseline = finals[0]
     for m, final in finals.items():

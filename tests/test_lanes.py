@@ -168,6 +168,29 @@ def test_t_acc_is_throttle_times_the_slowest_lane(cpus, monkeypatch):
     assert timing.t_exe >= timing.t_acc
 
 
+def test_tuner_device_sample_waits_out_the_busy_window(cpus, monkeypatch):
+    """Slabs that cost 10 and 30 ms of CPU: a tuner device sample, like a
+    step, returns t_acc = 3 x 30 ms and lasts at least that long."""
+    cpus(2)
+    costs = {1: 0.01, 13: 0.03}  # by slab start column
+    monkeypatch.setattr(hetero, "stream_collide_region",
+                        lambda model, params, buf, region, policy:
+                        _spin(costs[region.x_begin]))
+    model = builtin_model("d2q9")
+    geom = Geometry(24, 16, halo=1)
+    with HeteroRuntime(model, ModelParams(tau=0.8), LAYOUTS["soa"], geom,
+                       device_throttle=3.0) as rt:
+        rt.load_state(random_state(model, geom.lx, geom.ly, 3))
+        step = rt.run_timestep(make_partition(geom, 0))
+        runner = HeteroTuningRunner(rt, widths=[geom.lx])
+        t0 = time.perf_counter()
+        (sample,) = runner.time_compute("device", [geom.lx * geom.ly])
+        sample_wall = time.perf_counter() - t0
+    for t_acc, wall in ((step.t_acc, step.t_exe), (sample, sample_wall)):
+        assert 0.09 <= t_acc < 0.105
+        assert wall >= t_acc
+
+
 def test_tuner_device_samples_run_the_slab_split(cpus, monkeypatch):
     """The tuner's device sample of each width runs that width's slabs on
     the lanes, and costs throttle x its slowest slab."""

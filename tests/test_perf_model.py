@@ -10,6 +10,7 @@ t_exe = max(8e-4, 6e-4 + 2e-4) + 5e-5 = 8.5e-4.
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -34,7 +35,7 @@ def test_predict_reference_point():
 
 def test_predict_m_zero_ignores_host():
     a = predict(REF, 256, 128, 0)
-    b = predict(REF.with_overrides(tau_h=1.0), 256, 128, 0)
+    b = predict(replace(REF, tau_h=1.0), 256, 128, 0)
     assert a.t_exe == b.t_exe
     assert a.t_host == 0.0
 

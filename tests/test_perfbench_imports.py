@@ -50,3 +50,34 @@ def test_kernel_layer_runs_on_a_tiny_lattice(monkeypatch):
             "kernels.collide_ms"} <= set(metrics)
     assert all(math.isfinite(v) for v in metrics.values()), metrics
     assert np.isfinite(buf.canonical()).all()
+
+
+def test_traced_step_spans_its_swap_and_keeps_its_timing(monkeypatch):
+    """perfbench's tracer wraps `run_timestep` and `halo_swap_device_host`
+    on the runtime instance.  One traced step at M > 0 records one `step`
+    span whose args are its TimestepTiming, and one `swap` span inside it,
+    which holds only while the step calls the swap through the instance."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    from spans import Tracer, trace_runtime
+
+    from lbhx.config import build_run_config, load_config
+    from lbhx.hetero import make_partition, random_state, runtime_from_config
+    from lbhx.model import builtin_model
+
+    cfg = build_run_config(load_config(
+        overrides={"lattice.lx": "8", "lattice.ly": "8"}, use_env=False))
+    tracer = Tracer()
+    with runtime_from_config(cfg) as rt:
+        trace_runtime(tracer, 0, rt)
+        rt.load_state(random_state(builtin_model(cfg.model_name), cfg.lx,
+                                   cfg.ly, 3))
+        plan = make_partition(rt.geom, 2)
+        tracer.active = True
+        timing = rt.run_timestep(plan)
+    assert sorted(s["name"] for s in tracer.spans) == ["step", "swap"]
+    (step,) = tracer.steps()
+    assert [s["parent"] for s in tracer.children("swap")[step["step"]]] == [
+        step["id"]]
+    assert step["args"] == {k: getattr(timing, k) for k in
+                            ("t_acc", "t_host", "t_mpi", "t_swap", "t_exe")}
