@@ -4,21 +4,23 @@
  * An arena is read through the element strides (sp, sx, sa, sb) of its
  * (Q, alloc_LX, A, B) view, with y = a * nb + b, so one code path serves
  * every layout.  The region is walked in blocks of whole region columns,
- * about block_sites sites each.  A block is staged in one buffer,
- * populations outermost (f[p * ld + site]); within a column the region's
- * rows are at most three (a, b) rectangles, and each rectangle holds its
- * sites in the arena's own order: the row axes a and b nested by
+ * about block_sites sites each.  A block is pulled from prv into one
+ * buffer, populations outermost (f[p * ld + site]); within a column the
+ * region's rows are at most three (a, b) rectangles, and each rectangle
+ * holds its sites in the arena's own order: the row axes a and b nested by
  * decreasing stride.  That puts the VL lanes innermost for the interleaved
- * clustered layouts and keeps y order for the others, so both the pull
- * from prv and the store to nxt copy runs that are contiguous on both
- * sides wherever the arena has them.  The block is relaxed in the buffer
- * between the two.
+ * clustered layouts and keeps y order for the others, so the pull copies
+ * runs that are contiguous on both sides wherever the arena has them.  The
+ * collide takes the staged sites 8 at a time, keeps their moments in
+ * registers and writes each relaxed population straight to nxt: one vector
+ * store where the 8 destinations are consecutive, two where each half is
+ * (a VL4 cluster), else one store per site.
  *
  * Bit-identity with the numpy reference kernels rests on performing each
  * site's IEEE operations in their order: the moments accumulate in
  * population order, and every product and sum below is written as the
  * reference writes it.  The collide is site-local, so the order of sites
- * in the buffer changes no value.  Build with -ffp-contract=off and never
+ * in a vector changes no value.  Build with -ffp-contract=off and never
  * with -ffast-math, so that the compiler neither fuses a multiply-add nor
  * reassociates; vectorizing across sites then changes no value.
  */
@@ -28,15 +30,9 @@
 
 typedef int64_t i64;
 
-/* The block-level helpers stay out of line: inlined into
- * lbhx_stream_collide, their loops ran short of registers and reloaded
- * operands from the stack, which made the AoS pull and store and the
- * moments measurably slower. */
-#define BLOCK_STEP __attribute__((noinline)) static
-
-/* Sites per collide strip: a D2Q9 strip's populations and moments (28 kB)
- * stay in L1, where a whole 2048-row column (230 kB) did not. */
-#define STRIP 256
+/* 8 and 4 staged sites; aligned(8) lets one load or store at any double. */
+typedef double v8d __attribute__((vector_size(64), aligned(8)));
+typedef double v4d __attribute__((vector_size(32), aligned(8)));
 
 /* Element strides of an arena's view and its row block count and length. */
 struct view {
@@ -123,10 +119,13 @@ static int row_rects(const struct view *v, i64 y0, i64 y1, struct rect *r)
  * b - rb where b >= rb, and from row a - qa - 1 at b - rb + nb where
  * b < rb.  A source row outside [0, na) lies outside [0, ly): it wraps when
  * periodic; with walls the site takes the opposite population at its own
- * site instead. */
-BLOCK_STEP void pull(const struct view *v, const double *prv, i64 p,
-                     i64 opp, i64 xb, i64 nx, i64 cx, i64 cy, int walls,
-                     const struct rect *r, double *col, i64 rows)
+ * site instead.  Out of line: inlined into lbhx_stream_collide, its loops
+ * ran short of registers and reloaded operands from the stack, which made
+ * the AoS pull measurably slower. */
+__attribute__((noinline)) static void pull(
+    const struct view *v, const double *prv, i64 p, i64 opp, i64 xb,
+    i64 nx, i64 cx, i64 cy, int walls, const struct rect *r, double *col,
+    i64 rows)
 {
     const double *src = prv + p * v->sp + (xb - cx) * v->sx;
     const double *own = prv + opp * v->sp + xb * v->sx;
@@ -158,99 +157,79 @@ BLOCK_STEP void pull(const struct view *v, const double *prv, i64 p,
     }
 }
 
-/* Store the staged block of nx columns from xb to nxt, rectangle by
- * rectangle, walking nxt in memory order: the view indices p, a and b
- * nested by decreasing stride, so that each cache line of nxt is written
- * in one visit rather than once per population. */
-BLOCK_STEP void store(const struct view *v, double *nxt, i64 q, i64 xb,
-                      i64 nx, i64 rows, const struct rect *r, int nr,
-                      const double *f, i64 ld)
+/* The model's collide coefficients, as kernels._coefficients makes them:
+ * per population cx, cy; per opposite pair (p, q) of kernels._relax, p, q,
+ * w = w_p omega and w / cs2; then 0.5/cs2, 0.5/cs2^2 and 1 - omega. */
+struct model {
+    i64 q, npairs;
+    const i64 *cx, *cy, *pair_p, *pair_q;
+    const double *pair_w, *pair_wcs;
+    double c_a, c_g, om1;
+};
+
+/* 8 when the 8 destinations o[0..8) are consecutive and in order, 4 when
+ * each half of them is, else 1.  Every offset is checked: the staged order
+ * of an interleaved layout's head and middle rectangles need not follow
+ * nxt's memory order. */
+static inline int run_length(const i64 *o)
 {
-    const i64 sd[3] = {v->sp, v->sa, v->sb};
-    int o[3] = {0, 1, 2};
-    for (int i = 0; i < 3; i++)
-        for (int j = i + 1; j < 3; j++)
-            if (sd[o[j]] > sd[o[i]]) {
-                int t = o[i];
-                o[i] = o[j];
-                o[j] = t;
-            }
-    for (i64 x = 0; x < nx; x++)
-        for (int k = 0; k < nr; k++) {
-            const i64 ext[3] = {q, r[k].a1 - r[k].a0, r[k].b1 - r[k].b0};
-            const i64 sf[3] = {ld, r[k].fa, r[k].fb};
-            double *d = nxt + (xb + x) * v->sx + r[k].a0 * v->sa
-                        + r[k].b0 * v->sb;
-            const double *s = f + x * rows + r[k].off;
-            for (i64 i = 0; i < ext[o[0]]; i++)
-                copy2(d + i * sd[o[0]], sd[o[1]], sd[o[2]],
-                      s + i * sf[o[0]], sf[o[1]], sf[o[2]], ext[o[1]],
-                      ext[o[2]]);
-        }
+    int lo = 1, hi = 1;
+    for (int k = 1; k < 4; k++) {
+        lo &= o[k] == o[0] + k;
+        hi &= o[4 + k] == o[4] + k;
+    }
+    return !(lo && hi) ? 1 : o[4] == o[0] + 4 ? 8 : 4;
 }
 
-/* rho, jx, jy, then a = rho - |j|^2 / rho * c_a and g = c_g / rho, of the
- * n staged sites, population p at f + p * ld; as kernels._density_momentum
- * and kernels._relax. */
-BLOCK_STEP void moments(i64 q, const i64 *cx, const i64 *cy,
-                        const double *f, i64 ld, i64 n, double c_a,
-                        double c_g, double *rho, double *jx, double *jy,
-                        double *a, double *g)
+/* The first m sites of v to d[o[k]]: one store of a run of 8, two of runs
+ * of 4, else one per site. */
+static inline void put(double *d, const i64 *o, int run, int m, v8d v)
 {
-    for (i64 i = 0; i < n; i++)
-        rho[i] = jx[i] = jy[i] = 0.0;
-    for (i64 p = 0; p < q; p++) {
-        const double *fp = f + p * ld;
-        const double kx = (double)cx[p], ky = (double)cy[p];
+    if (run == 8) {
+        *(v8d *)(d + o[0]) = v;
+    } else if (run == 4) {
+        *(v4d *)(d + o[0]) = (v4d){v[0], v[1], v[2], v[3]};
+        *(v4d *)(d + o[4]) = (v4d){v[4], v[5], v[6], v[7]};
+    } else {
+        for (int k = 0; k < m; k++)
+            d[o[k]] = v[k];
+    }
+}
+
+/* Relax the 8 staged sites from f, population p at f + p * ld, and write
+ * the first m of them to nxt, population p of site k at d + p * sp + o[k]:
+ * rho, jx and jy, then a = rho - |j|^2 / rho * c_a and g = c_g / rho, as
+ * kernels._density_momentum and kernels._relax form them; then per opposite
+ * pair f <- f (1 - omega) + (even +- odd).  Always inlined, so that the
+ * full vectors (m = 8) take no test on m. */
+__attribute__((always_inline)) static inline void collide(
+    const struct model *c, const double *f, i64 ld, double *d, i64 sp,
+    const i64 *o, int m)
+{
+    v8d rho = {0}, jx = {0}, jy = {0};
+    for (i64 p = 0; p < c->q; p++) {
+        const v8d fp = *(const v8d *)(f + p * ld);
+        rho += fp;
         /* j += k f equals j += f for k = 1 and j -= f for k = -1 */
-        if (cx[p] && cy[p])
-            for (i64 i = 0; i < n; i++) {
-                rho[i] += fp[i];
-                jx[i] += kx * fp[i];
-                jy[i] += ky * fp[i];
-            }
-        else if (cx[p])
-            for (i64 i = 0; i < n; i++) {
-                rho[i] += fp[i];
-                jx[i] += kx * fp[i];
-            }
-        else if (cy[p])
-            for (i64 i = 0; i < n; i++) {
-                rho[i] += fp[i];
-                jy[i] += ky * fp[i];
-            }
-        else
-            for (i64 i = 0; i < n; i++)
-                rho[i] += fp[i];
+        if (c->cx[p])
+            jx += (double)c->cx[p] * fp;
+        if (c->cy[p])
+            jy += (double)c->cy[p] * fp;
     }
-    for (i64 i = 0; i < n; i++) {
-        double inv_rho = 1.0 / rho[i];
-        a[i] = rho[i] - (jx[i] * jx[i] + jy[i] * jy[i]) * inv_rho * c_a;
-        g[i] = inv_rho * c_g;
-    }
-}
-
-/* f <- (1 - omega) f + omega f_eq in place, one opposite pair (p, q) at a
- * time; a rest population has q = p.  w is w_p omega, wcs is w / cs2. */
-BLOCK_STEP void relax(i64 npairs, const i64 *pair_p, const i64 *pair_q,
-                      const i64 *cx, const i64 *cy, const double *pair_w,
-                      const double *pair_wcs, double om1, double *f, i64 ld,
-                      i64 n, const double *jx, const double *jy,
-                      const double *a, const double *g)
-{
-    for (i64 k = 0; k < npairs; k++) {
-        double *fp = f + pair_p[k] * ld, *fq = f + pair_q[k] * ld;
-        const double kx = (double)cx[pair_p[k]], ky = (double)cy[pair_p[k]];
-        const double w = pair_w[k], wcs = pair_wcs[k];
-        const int rest = pair_p[k] == pair_q[k];
-        for (i64 i = 0; i < n; i++) {
-            double t = kx * jx[i] + ky * jy[i];
-            double even = (t * t * g[i] + a[i]) * w;
-            t = t * wcs;
-            fp[i] = fp[i] * om1 + (even + t);
-            if (!rest)
-                fq[i] = fq[i] * om1 + (even - t);
-        }
+    const v8d inv_rho = 1.0 / rho;
+    const v8d a = rho - (jx * jx + jy * jy) * inv_rho * c->c_a;
+    const v8d g = inv_rho * c->c_g;
+    const int run = m == 8 ? run_length(o) : 1;
+    for (i64 k = 0; k < c->npairs; k++) {
+        const i64 p = c->pair_p[k], q = c->pair_q[k];
+        v8d t = (double)c->cx[p] * jx + (double)c->cy[p] * jy;
+        const v8d even = (t * t * g + a) * c->pair_w[k];
+        t = t * c->pair_wcs[k];
+        put(d + p * sp, o, run, m,
+            *(const v8d *)(f + p * ld) * c->om1 + (even + t));
+        if (q != p)
+            put(d + q * sp, o, run, m,
+                *(const v8d *)(f + q * ld) * c->om1 + (even - t));
     }
 }
 
@@ -267,6 +246,8 @@ i64 lbhx_stream_collide(const double *prv, double *nxt,
                         double c_a, double c_g, double om1)
 {
     const struct view v = {sp, sx, sa, sb, ly / nb, nb};
+    const struct model mdl = {q, npairs, cx, cy, pair_p, pair_q, pair_w,
+                              pair_wcs, c_a, c_g, om1};
     struct rect r[3];
     const int nr = row_rects(&v, y0, y1, r);
     /* blocks of whole region columns */
@@ -275,29 +256,32 @@ i64 lbhx_stream_collide(const double *prv, double *nxt,
     if (width > x1 - x0)
         width = x1 - x0;
     /* populations lie a cache line further apart than a block's sites:
-     * faster on every layout measured, by up to a tenth for AoS */
+     * faster on every layout measured, by up to a tenth for AoS; a last
+     * vector of fewer than 8 sites reads into that gap, zeroed here */
     const i64 cap = width * rows, ld = cap + 8;
-    const i64 size = (q * ld + 5 * cap) * (i64)sizeof(double);
-    double *f = malloc(size);
+    const i64 size = q * ld * (i64)sizeof(double) + cap * (i64)sizeof(i64);
+    double *f = calloc(size, 1);
     if (!f)
         return size;
-    double *rho = f + q * ld, *jx = rho + cap, *jy = jx + cap,
-           *a = jy + cap, *g = a + cap;
+    /* o[i]: where staged site i of every block lies in nxt, from column xb */
+    i64 *o = (i64 *)(f + q * ld);
+    for (i64 x = 0; x < width; x++)
+        for (int k = 0; k < nr; k++)
+            for (i64 a = r[k].a0; a < r[k].a1; a++)
+                for (i64 b = r[k].b0; b < r[k].b1; b++)
+                    o[x * rows + r[k].off + (a - r[k].a0) * r[k].fa
+                      + (b - r[k].b0) * r[k].fb] = x * sx + a * sa + b * sb;
 
     for (i64 xb = x0; xb < x1; xb += width) {
-        i64 nx = x1 - xb < width ? x1 - xb : width, n = nx * rows;
+        i64 nx = x1 - xb < width ? x1 - xb : width, n = nx * rows, i = 0;
         for (i64 p = 0; p < q; p++)
             for (int k = 0; k < nr; k++)
                 pull(&v, prv, p, opposite[p], xb, nx, cx[p], cy[p], walls,
                      &r[k], f + p * ld, rows);
-        /* the collide is site-local: relax L1-sized strips of the block */
-        for (i64 i0 = 0; i0 < n; i0 += STRIP) {
-            i64 m = n - i0 < STRIP ? n - i0 : STRIP;
-            moments(q, cx, cy, f + i0, ld, m, c_a, c_g, rho, jx, jy, a, g);
-            relax(npairs, pair_p, pair_q, cx, cy, pair_w, pair_wcs, om1,
-                  f + i0, ld, m, jx, jy, a, g);
-        }
-        store(&v, nxt, q, xb, nx, rows, r, nr, f, ld);
+        for (; i + 8 <= n; i += 8)
+            collide(&mdl, f + i, ld, nxt + xb * sx, sp, o + i, 8);
+        if (i < n)
+            collide(&mdl, f + i, ld, nxt + xb * sx, sp, o + i, (int)(n - i));
     }
     free(f);
     return 0;

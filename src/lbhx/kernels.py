@@ -9,14 +9,15 @@ strided (Q, alloc_LX, A, B) views of FieldBuffer.view, with y = a * B + b.
 stream_collide_region(prv -> nxt) on each region, then FieldBuffer.swap, so
 the new state is in prv; outside the regions the new prv holds scratch.  The
 fused step is one C function, `_kernel.c`, built on first use and called
-through ctypes, which releases the interpreter lock for the call.  It stages
-each block with populations outermost and, within a column, the sites in the
-arena's own order (the view's row axes a and b nested by decreasing stride:
-VL lanes innermost for the interleaved clustered layouts, y order for the
-others), so that its pull and store copy runs contiguous on both sides.
-The collide is site-local, so that order changes no value.  The numpy
-kernels propagate(prv -> nxt), apply_bc(nxt) and collide(nxt -> prv) are its
-reference.
+through ctypes, which releases the interpreter lock for the call.  It pulls
+each block into one buffer with populations outermost and, within a column,
+the sites in the arena's own order (the view's row axes a and b nested by
+decreasing stride: VL lanes innermost for the interleaved clustered layouts,
+y order for the others), so that its pull copies runs contiguous on both
+sides.  It relaxes the staged sites 8 at a time in registers and writes each
+relaxed population straight to nxt.  The collide is site-local, so that
+order changes no value.  The numpy kernels propagate(prv -> nxt),
+apply_bc(nxt) and collide(nxt -> prv) are its reference.
 
 The collide calls no BLAS routine.  Every reduction over populations is an
 elementwise accumulation in a fixed population order, so a site's result does
@@ -280,13 +281,14 @@ def equilibrium(model: LatticeModel, m: Macroscopics) -> np.ndarray:
 
 #: The fused step and the reference collide run in blocks of about this many
 #: sites: BLOCK_SITES // rows whole region columns, at least one.  The fused
-#: step stages a block's populations in one buffer (about 300 kB for D2Q37
+#: step pulls a block's populations into one buffer (about 300 kB for D2Q37
 #: at 256 rows), which this keeps well within L2 while each population's
 #: runs stay long enough to stream.  A perfbench sweep of the kernel that
-#: stages in the arena's site order (2-vCPU Xeon, 10 s runs, 2 per size)
-#: gave MLUPS 512: 5.96/6.54, 1024: 6.53/6.60, 2048: 7.45/6.70 on bulk-q37
-#: and 512: 28.5/29.6, 1024: 27.6/30.8, 2048: 25.8/30.8 on ring2-q9-tcp:
-#: no size ahead on both beyond the spread between runs.
+#: writes each relaxed vector straight to nxt (2-vCPU Xeon, 20 s runs, 2
+#: per size, in alternating order) gave MLUPS 512: 24.0/23.5, 1024:
+#: 23.4/24.5, 2048: 15.8/22.8 on bulk-q37 and 512: 54.9/66.8, 1024:
+#: 54.0/62.1, 2048: 64.9/63.3 on ring2-q9-tcp: no size ahead on both
+#: beyond the spread between runs.
 BLOCK_SITES = 1024
 
 

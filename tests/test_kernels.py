@@ -2,6 +2,7 @@
 identities, BGK conservation, boundary handling and cross-layout agreement."""
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -321,19 +322,30 @@ def test_step_region_composes_all_three_kernels():
     assert a.nxt is old_prv and np.array_equal(old_prv, before)
 
 
-@pytest.mark.parametrize("block_sites", [1, 7, BLOCK_LY - 1, 3 * BLOCK_LY])
+#: With the regions of the test below, these block sizes give blocks of
+#: every site count mod 8, so the collide's last vector of a block holds 1
+#: to 8 sites.  At 28 sites, rows [1, 13) make 2-column blocks in which
+#: CSoA VL4 interleaved has vectors whose first and last destinations lie 7
+#: apart but whose sites do not; rows [5, 9) do that on CSoA VL2 at 15.
+FUSED_BLOCK_SITES = [1, 7, BLOCK_LY - 1, 21, 28, 3 * BLOCK_LY]
+
+
+@pytest.mark.parametrize("block_sites", FUSED_BLOCK_SITES)
 @pytest.mark.parametrize("name", ["d2q9", "d2q37"])
 def test_fused_step_is_bit_identical_to_separate_kernels(monkeypatch, name,
                                                          block_sites):
     """stream_collide_region equals propagate -> apply_bc -> collide bit for
     bit on every layout and Y boundary, over full-height and partial row
     ranges, with one-column, partial and staged blocks, and leaves prv
-    untouched."""
+    untouched.  On the interleaved layouts the partial row ranges have head
+    and tail row rectangles, with a middle one at VL = 4, and the collide's
+    8-site vectors straddle them."""
     model = builtin_model(name)
     params = ModelParams(tau=0.7)
     geom = Geometry(14, BLOCK_LY, halo=3)  # interior columns 3..16
     regions = [interior_region(geom), Region(4, 15, 3, 13),
-               Region(4, 15, 6, 9)]
+               Region(4, 15, 6, 9), Region(4, 15, 1, 13),
+               Region(4, 15, 5, 9)]
     monkeypatch.setattr(kernels, "BLOCK_SITES", block_sites)
     for y_mode in (PERIODIC, WALL_BOUNCE_BACK):
         policy = BoundaryPolicy(y_mode)
@@ -428,6 +440,42 @@ def test_failed_block_allocation_is_a_runtime_fault(monkeypatch):
     assert str(err.value) == ("cannot allocate 123456 "
                               f"bytes for region {region} "
                               "(phase: fused kernel block buffer)")
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64",
+                    reason="-march=x86-64 names an x86_64 target only")
+def test_kernel_values_do_not_depend_on_the_instruction_set(
+        fresh_kernel_cache, monkeypatch):
+    """The kernel built for baseline x86-64, where an 8-site vector is four
+    SSE2 operations, writes nxt bit for bit as the -march=native build does,
+    over whole-vector, 4-wide and per-site stores and a short last vector."""
+    cases = [("d2q37", LayoutDescriptor(Family.SOA), PERIODIC),
+             ("d2q9", LayoutDescriptor(Family.CAOSOA, 4), WALL_BOUNCE_BACK),
+             ("d2q37", LayoutDescriptor(Family.AOS), WALL_BOUNCE_BACK),
+             ("d2q9", LayoutDescriptor(Family.CSOA, 8), PERIODIC)]
+    geom = Geometry(10, 32, halo=3)
+    regions = [interior_region(geom), Region(4, 11, 3, 30)]
+    native = kernels.BUILD
+    assert "-march=native" in native
+    outs = []
+    for build in (native, tuple("-march=x86-64" if a == "-march=native"
+                                else a for a in native)):
+        monkeypatch.setattr(kernels, "BUILD", build)
+        kernels.load_kernel.cache_clear()
+        outs.append([])
+        for name, desc, y_mode in cases:
+            model = builtin_model(name)
+            for region in regions:
+                buf, _ = _random_buf(model, desc, geom, seed=31)
+                update_x_halos_periodic(buf)
+                buf.nxt[:] = -1.0
+                kernels.stream_collide_region(model, ModelParams(tau=0.7),
+                                              buf, region,
+                                              BoundaryPolicy(y_mode))
+                outs[-1].append(buf.nxt)
+    assert len(list(fresh_kernel_cache.glob("kernel-*.so"))) == 2
+    for case, a, b in zip([(c, r) for c in cases for r in regions], *outs):
+        assert np.array_equal(a, b), case
 
 
 def test_kernel_source_builds_without_warnings(tmp_path):
