@@ -14,7 +14,10 @@
  * collide takes the staged sites 8 at a time, keeps their moments in
  * registers and writes each relaxed population straight to nxt: one vector
  * store where the 8 destinations are consecutive, two where each half is
- * (a VL4 cluster), else one store per site.
+ * (a VL4 cluster), else one store per site.  Each arena starts on a 64-B
+ * line (layouts.FieldBuffer), so a whole-vector SoA/CSoA store at a
+ * multiple of 8 doubles fills one line and a CAoSoA VL4 half fills one
+ * half-line: no store splits a line.
  *
  * Bit-identity with the numpy reference kernels rests on performing each
  * site's IEEE operations in their order: the moments accumulate in

@@ -13,6 +13,10 @@ Every layout is also a strided numpy view of its arena, of shape
 (Q, alloc_LX, A, B) with y = a * B + b (see FieldBuffer.view); kernels and
 halo moves work on that view.  CSoA with consecutive clustering has the same
 memory map as SoA for every VL.
+
+Each arena starts on a 64-B cache line, so a vector of 8 consecutive
+doubles at a multiple-of-8 offset is one line, as the paper's layouts
+intend; the memory map, and so every offset, is the same as without it.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from .errors import ConfigurationError, ContractViolation
 
 MAGIC = b"LBHX"
 DUMP_VERSION = 1
+LINE = 64  # bytes in a cache line: where each arena starts
 
 
 class Family(IntEnum):
@@ -167,8 +172,19 @@ def coords_of(desc: LayoutDescriptor, geom: Geometry, nq: int, offset: int):
     return p, x, y
 
 
+def _line_zeros(size: int) -> np.ndarray:
+    """`size` zeroed float64s starting on a LINE-byte boundary: a slice of a
+    block over-allocated by one line, so still one C-contiguous array."""
+    block = np.zeros(size + LINE // 8, dtype=np.float64)
+    start = -block.ctypes.data % LINE // 8
+    return block[start:start + size]
+
+
 class FieldBuffer:
-    """Two flat float64 arenas (state `prv`, scratch `nxt`) plus layout info."""
+    """Two flat float64 arenas (state `prv`, scratch `nxt`) plus layout info.
+
+    Each arena starts on a 64-B cache line (`LINE`).
+    """
 
     def __init__(self, desc: LayoutDescriptor, geom: Geometry, nq: int):
         geom.check_vl(desc)
@@ -176,8 +192,8 @@ class FieldBuffer:
         self.geom = geom
         self.nq = nq
         size = geom.alloc_lx * geom.ly * nq
-        self.prv = np.zeros(size, dtype=np.float64)
-        self.nxt = np.zeros(size, dtype=np.float64)
+        self.prv = _line_zeros(size)
+        self.nxt = _line_zeros(size)
 
     @property
     def size(self) -> int:
