@@ -88,7 +88,10 @@ KERNELS = ("propagate", "collide", "step")
 
 def cmd_bench_kernels(cfg, args) -> BenchReport:
     """Kernel x layout timing table: best-3 ms per iteration, MLUPS, and
-    same-round time ratios to each kernel's first layout."""
+    same-round time ratios to each kernel's first layout.  Each row's `gbs`
+    counts 2·Q·8 B per site (one read of `prv`, one write of `nxt`), and its
+    `roof_frac` is that over the copy roof: an arena copied in the same
+    rounds (`roof.copy_gbs`, which counts the read and the write)."""
     kernels = args.kernels.split(",")
     layouts = args.layouts.split(",")
     for k in kernels:
@@ -121,13 +124,22 @@ def cmd_bench_kernels(cfg, args) -> BenchReport:
         for kernel in kernels:
             cells.append((kernel, name, desc.vl))
             measurands.append(partial(time_call, *bodies[kernel]))
-    samples = sample(measurands, warmup=max(args.warmup, 1), rounds=args.iters)
+    roof = FieldBuffer(descs[0], geom, model.Q)
+    roof.prv.fill(1.0)  # an untouched arena would read the shared zero page
+    measurands.append(partial(time_call, np.copyto, roof.nxt, roof.prv))
+    *samples, copies = sample(measurands, warmup=max(args.warmup, 1),
+                              rounds=args.iters)
+    copy_gbs = 2 * roof.prv.nbytes / best3(copies) / 1e9
+    report.metadata["roof.copy_gbs"] = repr(copy_gbs)
+    site_bytes = 2 * model.Q * 8 * cfg.lx * cfg.ly
     for (kernel, name, vl), times in zip(cells, samples):
         t = best3(times)
+        gbs = site_bytes / t / 1e9
         report.add_row(kernel=kernel, layout=name, vl=vl, lx=cfg.lx, ly=cfg.ly,
                        t_ms=t * 1e3,
                        **paired_ratios(times, samples[kernels.index(kernel)]),
-                       mlups=mlups(cfg.lx, cfg.ly, t))
+                       mlups=mlups(cfg.lx, cfg.ly, t), gbs=gbs,
+                       roof_frac=gbs / copy_gbs)
     return report
 
 

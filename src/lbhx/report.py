@@ -8,6 +8,20 @@ import platform
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
+
+def _cpu_model() -> str:
+    """The first `model name` in /proc/cpuinfo, else platform.processor()."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
 
 def machine_fingerprint(extra: dict[str, str] | None = None) -> dict[str, str]:
     """Host description recorded in every report, so local numbers are never
@@ -19,6 +33,8 @@ def machine_fingerprint(extra: dict[str, str] | None = None) -> dict[str, str]:
         "cores": str(os.cpu_count() or 1),
         # the CPUs this process may run on, which cores can exceed
         "affinity": str(len(os.sched_getaffinity(0))),
+        "numpy": np.__version__,
+        "cpu": _cpu_model(),
     }
     if extra:
         fp.update(extra)

@@ -23,12 +23,17 @@ def test_bench_csv_structure(capsys):
     assert code == 0, err
     report = BenchReport.from_csv(out)
     assert report.columns == ["kernel", "layout", "vl", "lx", "ly", "t_ms",
-                              "ratio", "ratio_q1", "ratio_q3", "mlups"]
+                              "ratio", "ratio_q1", "ratio_q3", "mlups",
+                              "gbs", "roof_frac"]
     assert [r["layout"] for r in report.rows] == ["aos", "caosoa"]
     assert report.rows[0]["ratio"] == 1.0  # the first layout is the reference
     for row in report.rows:
         assert row["t_ms"] > 0 and row["mlups"] > 0
         assert 0 < row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]
+        assert row["gbs"] > 0 and row["roof_frac"] > 0
+    assert float(report.metadata["roof.copy_gbs"]) > 0
+    for key in ("machine.numpy", "machine.cpu"):
+        assert key in report.metadata
 
 
 def test_bench_zero_iters_is_config_error(capsys):
