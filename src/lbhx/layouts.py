@@ -14,9 +14,9 @@ Every layout is also a strided numpy view of its arena, of shape
 halo moves work on that view.  CSoA with consecutive clustering has the same
 memory map as SoA for every VL.
 
-Each arena starts on a 64-B cache line, so a vector of 8 consecutive
-doubles at a multiple-of-8 offset is one line, as the paper's layouts
-intend; the memory map, and so every offset, is the same as without it.
+Each arena starts on a 64-B cache line, so 8 consecutive doubles from a
+multiple-of-8 offset are one line, as the paper's layouts intend.  Where an
+arena starts changes no offset of the memory map.
 """
 from __future__ import annotations
 

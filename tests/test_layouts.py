@@ -193,8 +193,8 @@ def test_runtime_and_tuner_arenas_start_on_a_cache_line():
 
 
 def test_dump_bytes_are_frozen():
-    # the SHA-256 of this seeded state's dump, as written before the arenas
-    # were aligned: alignment moves no value and no byte of the format
+    # a frozen SHA-256 of one seeded state's dump: where an arena starts
+    # moves no value and no byte of the format
     buf = FieldBuffer(LayoutDescriptor(Family.CAOSOA, 4),
                       Geometry(6, 8, halo=1), 9)
     buf.set_canonical(np.random.default_rng(5).random((9, 6, 8)))
