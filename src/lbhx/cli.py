@@ -422,6 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layouts", default="aos,soa,csoa,caosoa")
     p.add_argument("--iters", type=int, default=11)
     p.add_argument("--warmup", type=int, default=3)
+    p.add_argument("--json", metavar="FILE",
+                   help="also append the report as one record to the JSON "
+                        "list in FILE")
 
     p = sub.add_parser("sweep-balance", parents=[common],
                        help="measured vs predicted MLUPS over border widths")
@@ -483,7 +486,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_run_config(_collect_config(args))
         if args.command == "bench":
-            _emit(cmd_bench_kernels(cfg, args), args)
+            report = cmd_bench_kernels(cfg, args)
+            _emit(report, args)
+            if args.json:
+                report.append_json(args.json)
         elif args.command == "sweep-balance":
             _emit(cmd_sweep_balance(cfg, args), args)
         elif args.command == "sweep-vl":

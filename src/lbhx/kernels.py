@@ -9,15 +9,19 @@ strided (Q, alloc_LX, A, B) views of FieldBuffer.view, with y = a * B + b.
 stream_collide_region(prv -> nxt) on each region, then FieldBuffer.swap, so
 the new state is in prv; outside the regions the new prv holds scratch.  The
 fused step is one C function, `_kernel.c`, built on first use and called
-through ctypes, which releases the interpreter lock for the call.  It pulls
-each block into one buffer with populations outermost and, within a column,
-the sites in the arena's own order (the view's row axes a and b nested by
-decreasing stride: VL lanes innermost for the interleaved clustered layouts,
-y order for the others), so that its pull copies runs contiguous on both
-sides.  It relaxes the staged sites 8 at a time in registers and writes each
-relaxed population straight to nxt.  The collide is site-local, so that
-order changes no value.  The numpy kernels propagate(prv -> nxt),
-apply_bc(nxt) and collide(nxt -> prv) are its reference.
+through ctypes, which releases the interpreter lock for the call.  It
+relaxes a block's sites 8 at a time in registers.  A vector of sites whose
+every source lies in its own row (the view's a) and whose destinations are
+a run loads each population straight from prv; the rest (the R rows at
+each end of a row, partial rows, AoS and consecutive CAoSoA) are pulled
+into one buffer with populations outermost and, within a column, the sites
+in the arena's own order (the view's row axes a and b nested by decreasing
+stride: VL lanes innermost for the interleaved clustered layouts, y order
+for the others), so that its pull copies runs contiguous on both sides.
+Either way it writes each relaxed population straight to nxt.  The collide
+is site-local, so that order changes no value.  The numpy kernels
+propagate(prv -> nxt), apply_bc(nxt) and collide(nxt -> prv) are its
+reference.
 
 The collide calls no BLAS routine.  Every reduction over populations is an
 elementwise accumulation in a fixed population order, so a site's result does
@@ -281,9 +285,11 @@ def equilibrium(model: LatticeModel, m: Macroscopics) -> np.ndarray:
 
 #: The fused step and the reference collide run in blocks of about this many
 #: sites: BLOCK_SITES // rows whole region columns, at least one.  The fused
-#: step pulls a block's populations into one buffer (about 300 kB for D2Q37
-#: at 256 rows), which this keeps well within L2 while each population's
-#: runs stay long enough to stream.  A perfbench sweep of the kernel that
+#: step loads most vectors straight from prv and pulls only a block's staged
+#: rows into one buffer: for D2Q37 SoA at 256 rows, the 8 rows at each end
+#: of a column, about 21 kB (all 256, about 305 kB, when every row was
+#: staged), which this keeps well within L2 while each population's runs
+#: stay long enough to stream.  A perfbench sweep of the kernel that
 #: writes each relaxed vector straight to nxt (2-vCPU Xeon, 20 s runs, 2
 #: per size, in alternating order) gave MLUPS 512: 24.0/23.5, 1024:
 #: 23.4/24.5, 2048: 15.8/22.8 on bulk-q37 and 512: 54.9/66.8, 1024:
@@ -455,8 +461,9 @@ def stream_collide_region(model: LatticeModel, params: ModelParams,
                           buf: FieldBuffer, region: Region,
                           policy: BoundaryPolicy) -> None:
     """propagate, apply_bc and collide in one pass of the compiled kernel:
-    each block of BLOCK_SITES // rows whole region columns is pulled from
-    prv, bounced back from prv at the walls, relaxed and stored in nxt once.
+    each block of BLOCK_SITES // rows whole region columns is loaded or
+    pulled from prv, bounced back from prv at the walls, relaxed and stored
+    in nxt once.
     prv is only read, nxt is written only inside region, and every value is
     formed by the separate kernels' operation sequence, so the result is
     bit-identical to them.  Raises RuntimeFault if the kernel cannot

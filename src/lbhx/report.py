@@ -3,12 +3,16 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import platform
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 
 def _cpu_model() -> str:
@@ -23,6 +27,26 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
+def _git_revision() -> str:
+    """The commit checked out in the git work tree that lbhx is imported
+    from, read from its .git directory; "unknown" outside a checkout."""
+    git = next((d / ".git" for d in Path(__file__).resolve().parents
+                if (d / ".git").is_dir()), None)
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head  # a detached HEAD names its commit
+        ref = head[5:]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except (OSError, TypeError):
+        pass
+    return "unknown"
+
+
 def machine_fingerprint(extra: dict[str, str] | None = None) -> dict[str, str]:
     """Host description recorded in every report, so local numbers are never
     mistaken for published ones."""
@@ -35,6 +59,7 @@ def machine_fingerprint(extra: dict[str, str] | None = None) -> dict[str, str]:
         "affinity": str(len(os.sched_getaffinity(0))),
         "numpy": np.__version__,
         "cpu": _cpu_model(),
+        "git": _git_revision(),
     }
     if extra:
         fp.update(extra)
@@ -73,6 +98,22 @@ class BenchReport:
         for row in self.rows:
             writer.writerow(row)
         return out.getvalue()
+
+    def append_json(self, path) -> None:
+        """Append this report's metadata and rows as one record to the JSON
+        list in `path`, which is created if missing."""
+        path = Path(path)
+        try:
+            records = json.loads(path.read_text()) if path.exists() else []
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read {path}: {exc}") from None
+        if not isinstance(records, list):
+            raise ConfigurationError(f"{path} does not hold a JSON list")
+        records.append({"metadata": self.metadata, "rows": self.rows})
+        try:
+            path.write_text(json.dumps(records, indent=1) + "\n")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {path}: {exc}") from None
 
     @classmethod
     def from_csv(cls, text: str) -> "BenchReport":

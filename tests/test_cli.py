@@ -1,6 +1,8 @@
 """End-to-end CLI tests: subcommand output formats, exit codes and
 configuration plumbing.  Timing-dependent subcommands run with tiny iteration
 counts; only structure is asserted, not performance."""
+import json
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,40 @@ def test_bench_csv_structure(capsys):
     assert float(report.metadata["roof.copy_gbs"]) > 0
     for key in ("machine.numpy", "machine.cpu"):
         assert key in report.metadata
+
+
+def test_bench_json_appends_a_record_per_call(capsys, tmp_path):
+    """--json FILE appends one record, the report's metadata and rows, to
+    the JSON list in FILE: a second call keeps the first record as it was."""
+    path = tmp_path / "BENCH_kernels.json"
+    argv = ["bench", "--kernels", "step", "--layouts", "aos,soa",
+            "--iters", "3", "--warmup", "1", "--lattice-lx", "16",
+            "--lattice-ly", "16", "--json", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    first = json.loads(path.read_text())
+    assert len(first) == 1
+    assert first[0]["metadata"] == BenchReport.from_csv(out).metadata
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    records = json.loads(path.read_text())
+    assert len(records) == 2 and records[0] == first[0]
+    for record in records:
+        assert record["metadata"]["machine.git"]
+        assert [r["layout"] for r in record["rows"]] == ["aos", "soa"]
+        for row in record["rows"]:
+            for key in ("t_ms", "ratio", "ratio_q1", "ratio_q3", "gbs",
+                        "roof_frac"):
+                assert row[key] > 0, key
+
+
+def test_bench_json_into_a_file_that_is_not_a_list(capsys, tmp_path):
+    path = tmp_path / "bench.json"
+    path.write_text("{}")
+    code, _, err = run_cli(capsys, "bench", "--iters", "1", "--lattice-lx",
+                           "8", "--lattice-ly", "8", "--json", str(path))
+    assert code == 1 and "does not hold a JSON list" in err
+    assert path.read_text() == "{}"
 
 
 def test_bench_zero_iters_is_config_error(capsys):

@@ -403,6 +403,52 @@ def test_fused_step_matches_the_reference_at_other_heights(name, ly):
                                                             region)
 
 
+#: (model, LY) pairs for the direct-load test below.  At LY = 64 and 72
+#: each column has a band of rows loaded straight from prv; at LY = 16 and
+#: 24 the D2Q37 head and tail bands of R = 3 rows, rounded up to whole
+#: vectors, meet or overlap on the interleaved VL4 layouts (and at 16 on
+#: SoA), so every row is staged.
+DIRECT_HEIGHTS = [("d2q9", 64), ("d2q9", 72), ("d2q37", 16), ("d2q37", 24),
+                  ("d2q37", 64), ("d2q37", 72)]
+
+
+@pytest.mark.parametrize("block_sites", [20, 1024])
+@pytest.mark.parametrize("name,ly", DIRECT_HEIGHTS)
+def test_direct_loads_are_bit_identical_to_separate_kernels(
+        monkeypatch, name, ly, block_sites):
+    """The vectors that load straight from prv and the staged edge rows
+    together equal propagate -> apply_bc -> collide bit for bit, on every
+    layout, VL = 8 too, and Y boundary.  The regions are whole, whole-height
+    on some columns, and partial row ranges whose ends fall mid-vector: the
+    staged vectors then straddle the wall or the y-wrap, and on the
+    interleaved layouts the rows cross VL4 cluster seams."""
+    model = builtin_model(name)
+    params = ModelParams(tau=0.7)
+    geom = Geometry(10, ly, halo=3)
+    regions = [interior_region(geom), Region(4, 11, 0, ly),
+               Region(4, 11, 5, ly - 3),
+               Region(5, 9, ly // 4 - 3, 3 * ly // 4 + 3)]
+    monkeypatch.setattr(kernels, "BLOCK_SITES", block_sites)
+    for y_mode in (PERIODIC, WALL_BOUNCE_BACK):
+        policy = BoundaryPolicy(y_mode)
+        for desc in ALL_DESCRIPTORS + VL8:
+            for region in regions:
+                ref, _ = _random_buf(model, desc, geom, seed=32)
+                fused, _ = _random_buf(model, desc, geom, seed=32)
+                for buf in (ref, fused):
+                    update_x_halos_periodic(buf)
+                    buf.nxt[:] = -1.0
+                before = fused.prv.copy()
+                propagate_region(model, ref, region)
+                apply_bc(model, ref, policy, region)
+                collide_region(model, params, ref, region, "nxt", "nxt")
+                kernels.stream_collide_region(model, params, fused, region,
+                                              policy)
+                case = (y_mode, desc, region)
+                assert np.array_equal(fused.nxt, ref.nxt), case
+                assert np.array_equal(fused.prv, before), case
+
+
 def test_fused_step_guards_its_region_and_arenas():
     """Out-of-range regions and arenas that are not two distinct float64
     arrays raise before the foreign call, so nothing is written."""
@@ -448,7 +494,9 @@ def test_kernel_values_do_not_depend_on_the_instruction_set(
         fresh_kernel_cache, monkeypatch):
     """The kernel built for baseline x86-64, where an 8-site vector is four
     SSE2 operations, writes nxt bit for bit as the -march=native build does,
-    over whole-vector, 4-wide and per-site stores and a short last vector."""
+    over whole-vector, 4-wide and per-site stores and a short last vector.
+    The whole regions also load vectors straight from prv: 8 wide on SoA
+    and CSoA VL8 (rows 8..24 and b 1..3), 4 + 4 on CAoSoA VL4 (b 2..6)."""
     cases = [("d2q37", LayoutDescriptor(Family.SOA), PERIODIC),
              ("d2q9", LayoutDescriptor(Family.CAOSOA, 4), WALL_BOUNCE_BACK),
              ("d2q37", LayoutDescriptor(Family.AOS), WALL_BOUNCE_BACK),

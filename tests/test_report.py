@@ -1,4 +1,5 @@
 """Report container tests: CSV round-trip and machine fingerprinting."""
+from lbhx import report
 from lbhx.report import BenchReport, machine_fingerprint
 
 
@@ -34,3 +35,21 @@ def test_metadata_has_fingerprint_and_header_format():
             break
     fp = machine_fingerprint({"role": "test"})
     assert fp["role"] == "test" and int(fp["cores"]) >= 1
+
+
+def test_fingerprint_names_the_git_revision(tmp_path, monkeypatch):
+    """The revision is read from the .git directory above the package: a
+    loose ref, a packed ref or a detached HEAD; "unknown" without one."""
+    pkg = tmp_path / "src" / "lbhx"
+    monkeypatch.setattr(report, "__file__", str(pkg / "report.py"))
+    assert machine_fingerprint()["git"] == "unknown"
+    git = tmp_path / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    (git / "packed-refs").write_text("# pack-refs\n" + "a" * 40
+                                     + " refs/heads/main\n")
+    assert machine_fingerprint()["git"] == "a" * 40
+    (git / "refs" / "heads" / "main").write_text("b" * 40 + "\n")
+    assert machine_fingerprint()["git"] == "b" * 40
+    (git / "HEAD").write_text("c" * 40 + "\n")
+    assert machine_fingerprint()["git"] == "c" * 40
