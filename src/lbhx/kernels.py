@@ -287,9 +287,8 @@ def equilibrium(model: LatticeModel, m: Macroscopics) -> np.ndarray:
 #: sites: BLOCK_SITES // rows whole region columns, at least one.  The fused
 #: step loads most vectors straight from prv and pulls only a block's staged
 #: rows into one buffer: for D2Q37 SoA at 256 rows, the 8 rows at each end
-#: of a column, about 21 kB (all 256, about 305 kB, when every row was
-#: staged), which this keeps well within L2 while each population's runs
-#: stay long enough to stream.  A perfbench sweep of the kernel that
+#: of a column, about 21 kB.  This keeps it well within L2 while each
+#: population's runs stay long enough to stream.  A perfbench sweep of the kernel that
 #: writes each relaxed vector straight to nxt (2-vCPU Xeon, 20 s runs, 2
 #: per size, in alternating order) gave MLUPS 512: 24.0/23.5, 1024:
 #: 23.4/24.5, 2048: 15.8/22.8 on bulk-q37 and 512: 54.9/66.8, 1024:

@@ -32,6 +32,8 @@ def _git_revision() -> str:
     from, read from its .git directory; "unknown" outside a checkout."""
     git = next((d / ".git" for d in Path(__file__).resolve().parents
                 if (d / ".git").is_dir()), None)
+    if git is None:
+        return "unknown"
     try:
         head = (git / "HEAD").read_text().strip()
         if not head.startswith("ref: "):
@@ -42,7 +44,7 @@ def _git_revision() -> str:
         for line in (git / "packed-refs").read_text().splitlines():
             if line.endswith(" " + ref):
                 return line.split()[0]
-    except (OSError, TypeError):
+    except OSError:
         pass
     return "unknown"
 
