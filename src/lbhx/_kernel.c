@@ -95,8 +95,8 @@ static void stage(const struct view *v, const struct rect *r, double *col,
             copy2(d, r->fa, r->fb, s, v->sa, v->sb, na, nb);
 }
 
-/* Region rows [y0, y1) as at most three rectangles, as kernels._row_blocks
- * makes them: a head row, whole middle rows, a tail row; returns how many. */
+/* Region rows [y0, y1) as at most three rectangles of rows y = a * nb + b:
+ * a head row, whole middle rows, a tail row; returns how many. */
 static int row_rects(const struct view *v, i64 y0, i64 y1, struct rect *r)
 {
     i64 a0 = y0 / v->nb, b0 = y0 % v->nb, a1 = y1 / v->nb, b1 = y1 % v->nb;

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import statistics
 import sys
 from functools import partial
@@ -21,8 +22,7 @@ from .errors import (CommunicationFault, ConfigurationError, LbhxError,
 from .hetero import (HeteroTuningRunner, balance_experiment, device_lanes,
                      make_partition, random_state, runtime_from_config,
                      tune_profile)
-from .kernels import (collide_region, interior_region, propagate_region,
-                      run_steps, update_x_halos_periodic)
+from .kernels import run_steps
 from .layouts import (Family, FieldBuffer, LayoutDescriptor,
                       clustering_from_name, family_from_name, read_dump,
                       write_dump)
@@ -74,6 +74,31 @@ def _emit(report: BenchReport, args) -> None:
         sys.stdout.write(text)
 
 
+def _positive_ints(flag: str, text: str) -> list[int]:
+    """The comma list `text` given to option `flag`, as positive ints."""
+    try:
+        values = [int(v) for v in text.split(",")]
+        if min(values) >= 1:
+            return values
+    except ValueError:
+        pass
+    raise ConfigurationError(
+        f"{flag} expects a comma list of positive integers, got {text!r}")
+
+
+#: the options whose value names a file the command writes
+_OUTPUTS = ("output", "json", "save", "out", "dat_prefix", "export_csv")
+
+
+def _check_outputs(args) -> None:
+    """Fail before any work if an output file's directory does not exist."""
+    for name in _OUTPUTS:
+        path = getattr(args, name, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigurationError(
+                f"cannot write {path}: its directory does not exist")
+
+
 def _layout_descriptor(name: str, vl: int, clustering: str) -> LayoutDescriptor:
     family = family_from_name(name)
     if family in (Family.CSOA, Family.CAOSOA):
@@ -83,20 +108,13 @@ def _layout_descriptor(name: str, vl: int, clustering: str) -> LayoutDescriptor:
 
 # -- bench -------------------------------------------------------------------
 
-KERNELS = ("propagate", "collide", "step")
-
-
-def cmd_bench_kernels(cfg, args) -> BenchReport:
-    """Kernel x layout timing table: best-3 ms per iteration, MLUPS, and
-    same-round time ratios to each kernel's first layout.  Each row's `gbs`
+def cmd_bench(cfg, args) -> BenchReport:
+    """Layout timing table of the fused step: best-3 ms per iteration,
+    MLUPS, and same-round time ratios to the first layout.  Each row's `gbs`
     counts 2·Q·8 B per site (one read of `prv`, one write of `nxt`), and its
     `roof_frac` is that over the copy roof: an arena copied in the same
     rounds (`roof.copy_gbs`, which counts the read and the write)."""
-    kernels = args.kernels.split(",")
     layouts = args.layouts.split(",")
-    for k in kernels:
-        if k not in KERNELS:
-            raise ConfigurationError(f"unknown kernel {k!r}")
     model = builtin_model(cfg.model_name)
     params = ModelParams(tau=cfg.tau)
     geom = cfg.geometry
@@ -111,19 +129,12 @@ def cmd_bench_kernels(cfg, args) -> BenchReport:
         "model": model.name, "lx": str(cfg.lx), "ly": str(cfg.ly),
         "iters": str(args.iters),
     })
-    region = interior_region(geom)
-    cells, measurands = [], []
-    for name, desc in zip(layouts, descs):
+    measurands = []
+    for desc in descs:
         buf = FieldBuffer(desc, geom, model.Q)
         buf.set_canonical(random_state(model, cfg.lx, cfg.ly, cfg.seed))
-        update_x_halos_periodic(buf)
-        buf.nxt[:] = buf.prv  # collide reads nxt; keep it populated
-        bodies = {"propagate": (propagate_region, model, buf, region),
-                  "collide": (collide_region, model, params, buf, region),
-                  "step": (run_steps, model, params, buf, 1, cfg.policy)}
-        for kernel in kernels:
-            cells.append((kernel, name, desc.vl))
-            measurands.append(partial(time_call, *bodies[kernel]))
+        measurands.append(partial(time_call, run_steps, model, params, buf, 1,
+                                  cfg.policy))
     roof = FieldBuffer(descs[0], geom, model.Q)
     roof.prv.fill(1.0)  # an untouched arena would read the shared zero page
     measurands.append(partial(time_call, np.copyto, roof.nxt, roof.prv))
@@ -132,12 +143,11 @@ def cmd_bench_kernels(cfg, args) -> BenchReport:
     copy_gbs = 2 * roof.prv.nbytes / best3(copies) / 1e9
     report.metadata["roof.copy_gbs"] = repr(copy_gbs)
     site_bytes = 2 * model.Q * 8 * cfg.lx * cfg.ly
-    for (kernel, name, vl), times in zip(cells, samples):
+    for name, desc, times in zip(layouts, descs, samples):
         t = best3(times)
         gbs = site_bytes / t / 1e9
-        report.add_row(kernel=kernel, layout=name, vl=vl, lx=cfg.lx, ly=cfg.ly,
-                       t_ms=t * 1e3,
-                       **paired_ratios(times, samples[kernels.index(kernel)]),
+        report.add_row(layout=name, vl=desc.vl, lx=cfg.lx, ly=cfg.ly,
+                       t_ms=t * 1e3, **paired_ratios(times, samples[0]),
                        mlups=mlups(cfg.lx, cfg.ly, t), gbs=gbs,
                        roof_frac=gbs / copy_gbs)
     return report
@@ -180,7 +190,7 @@ def cmd_sweep_balance(cfg, args) -> BenchReport:
 
 def cmd_sweep_vl(cfg, args) -> BenchReport:
     """Best-balance MLUPS per cluster size VL, and step time ratios."""
-    vls = [int(v) for v in args.vls.split(",")]
+    vls = _positive_ints("--vls", args.vls)
     family = cfg.layout.family
     if family not in (Family.CSOA, Family.CAOSOA):
         raise ConfigurationError("sweep-vl needs a clustered layout "
@@ -220,7 +230,7 @@ def cmd_scale(cfg, args) -> BenchReport:
     """Multi-rank MLUPS/speedup, accelerator-only (v1) vs balanced (v2)."""
     from .distributed import run_distributed
 
-    rank_counts = [int(r) for r in args.ranks.split(",")]
+    rank_counts = _positive_ints("--ranks", args.ranks)
     lanes = {n: device_lanes(n) for n in rank_counts}
     model = builtin_model(cfg.model_name)
     state = random_state(model, cfg.lx, cfg.ly, cfg.seed)
@@ -416,9 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bench", parents=[common],
-                       help="kernel x layout timing table")
-    p.add_argument("--kernels", default="step",
-                   help="comma list from propagate,collide,step")
+                       help="fused step timing table per layout")
     p.add_argument("--layouts", default="aos,soa,csoa,caosoa")
     p.add_argument("--iters", type=int, default=11)
     p.add_argument("--warmup", type=int, default=3)
@@ -484,9 +492,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         cfg = build_run_config(_collect_config(args))
         if args.command == "bench":
-            report = cmd_bench_kernels(cfg, args)
+            report = cmd_bench(cfg, args)
             _emit(report, args)
             if args.json:
                 report.append_json(args.json)
@@ -521,6 +530,11 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except LbhxError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a file the command reads or writes
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     return 0
 

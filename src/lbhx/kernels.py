@@ -2,26 +2,30 @@
 
 All kernels operate on a rectangular Region of allocation coordinates and are
 site-local (collide, bc) or pure copies (propagate), so any disjoint
-partition of a region produces bit-identical results.  They run on the
-strided (Q, alloc_LX, A, B) views of FieldBuffer.view, with y = a * B + b.
+partition of a region produces bit-identical results.
 
 `prv` holds the state and `nxt` is scratch.  A step runs the fused
 stream_collide_region(prv -> nxt) on each region, then FieldBuffer.swap, so
 the new state is in prv; outside the regions the new prv holds scratch.  The
 fused step is one C function, `_kernel.c`, built on first use and called
-through ctypes, which releases the interpreter lock for the call.  It
-relaxes a block's sites 8 at a time in registers.  A vector of sites whose
-every source lies in its own row (the view's a) and whose destinations are
-a run loads each population straight from prv; the rest (the R rows at
-each end of a row, partial rows, AoS and consecutive CAoSoA) are pulled
-into one buffer with populations outermost and, within a column, the sites
-in the arena's own order (the view's row axes a and b nested by decreasing
-stride: VL lanes innermost for the interleaved clustered layouts, y order
-for the others), so that its pull copies runs contiguous on both sides.
-Either way it writes each relaxed population straight to nxt.  The collide
-is site-local, so that order changes no value.  The numpy kernels
-propagate(prv -> nxt), apply_bc(nxt) and collide(nxt -> prv) are its
-reference.
+through ctypes, which releases the interpreter lock for the call.  It walks
+the strided (Q, alloc_LX, A, B) view of FieldBuffer.view, y = a * B + b,
+and relaxes a block's sites 8 at a time in registers.  A vector of sites
+whose every source lies in its own row (the view's a) and whose
+destinations are a run loads each population straight from prv; the rest
+(the R rows at each end of a row, partial rows, AoS and consecutive
+CAoSoA) are pulled into one buffer with populations outermost and, within a
+column, the sites in the arena's own order (the view's row axes a and b
+nested by decreasing stride: VL lanes innermost for the interleaved
+clustered layouts, y order for the others), so that its pull copies runs
+contiguous on both sides.  Either way it writes each relaxed population
+straight to nxt.  The collide is site-local, so that order changes no value.
+
+The numpy kernels propagate(prv -> nxt), apply_bc(nxt) and collide(nxt ->
+prv) are its reference, and know no layout: each copies its region's
+columns out in canonical (Q, x, y) order (FieldBuffer.columns), shifts or
+relaxes them there, and stores the region's rows back
+(FieldBuffer.set_columns).
 
 The collide calls no BLAS routine.  Every reduction over populations is an
 elementwise accumulation in a fixed population order, so a site's result does
@@ -115,74 +119,13 @@ def _check_region(buf: FieldBuffer, region: Region, reach: int = 0) -> None:
         raise ContractViolation(f"region rows {region} exceed [0, {g.ly})")
 
 
-def _row_blocks(region: Region, n_b: int) -> list[tuple[slice, slice]]:
-    """Rows [y_begin, y_end) as at most three (a, b) rectangles of
-    y = a * B + b with B = n_b: a head row, whole middle rows, a tail row.
-    Each rectangle is one run of consecutive rows."""
-    a0, b0 = divmod(region.y_begin, n_b)
-    a1, b1 = divmod(region.y_end, n_b)
-    if a0 == a1:
-        return [(slice(a0, a0 + 1), slice(b0, b1))]
-    blocks = []
-    if b0:
-        blocks.append((slice(a0, a0 + 1), slice(b0, n_b)))
-        a0 += 1
-    if a1 > a0:
-        blocks.append((slice(a0, a1), slice(0, n_b)))
-    if b1:
-        blocks.append((slice(a1, a1 + 1), slice(0, b1)))
-    return blocks
-
-
-# A block is (xs, a_span, b_span): columns crossed with one _row_blocks
-# rectangle of the (Q, alx, A, B) views.  The helpers below write a block
-# into `out`, an array indexed from the block's corner.
-
-def _pull(prv: np.ndarray, p: int, c: tuple[int, int], block,
-          out: np.ndarray) -> None:
-    """out <- population p of prv pulled along c = (cx, cy) into block.
-
-    With cy = qa * B + rb (0 <= rb < B), row (a, b) pulls from a-row a - qa
-    at b - rb where b >= rb, and from a-row a - qa - 1 at b - rb + B where
-    b < rb, a taken mod A: at most four slice copies.
-    """
-    (cx, cy), (xs, a_span, b_span) = c, block
-    n_a, n_b = prv.shape[2:]
-    src = prv[p, xs.start - cx:xs.stop - cx]
-    a0, b0 = a_span.start, b_span.start
-    qa, rb = divmod(cy, n_b)
-    for da, db, b_lo, b_hi in (
-            (qa, -rb, max(b0, rb), b_span.stop),
-            (qa + 1, n_b - rb, b0, min(b_span.stop, rb))):
-        a = a0
-        while a < a_span.stop and b_lo < b_hi:  # a wraps at most once
-            sa = (a - da) % n_a
-            n = min(a_span.stop - a, n_a - sa)
-            out[:, a - a0:a - a0 + n, b_lo - b0:b_hi - b0] = \
-                src[:, sa:sa + n, b_lo + db:b_hi + db]
-            a += n
-
-
-def _bounce_back(model: LatticeModel, prv: np.ndarray, block,
-                 out: np.ndarray) -> None:
-    """Link-wise bounce-back in block: every population whose pull source
-    lies outside [0, LY) takes the opposite population at the same site
-    from prv."""
-    xs, a_span, b_span = block
-    n_b = prv.shape[3]
-    ly = prv.shape[2] * n_b
-    a0, b0 = a_span.start, b_span.start
-    y0, y1 = a0 * n_b + b0, (a_span.stop - 1) * n_b + b_span.stop
-    for p, (_cx, cy) in enumerate(model.velocities):
-        if cy > 0:
-            rows = range(y0, min(y1, cy))
-        elif cy < 0:
-            rows = range(max(y0, ly + cy), y1)
-        else:
-            continue
-        for y in rows:
-            a, b = divmod(y, n_b)
-            out[p, :, a - a0, b - b0] = prv[model.opposite[p], xs, a, b]
+def _store_rows(buf: FieldBuffer, region: Region, values: np.ndarray,
+                role: str) -> None:
+    """Store canonical (Q, columns, rows) values in region of the `role`
+    arena; the region's columns keep their values outside its rows."""
+    cols = buf.columns(region.x_begin, region.columns, role)
+    cols[:, :, region.y_begin:region.y_end] = values
+    buf.set_columns(region.x_begin, cols, role)
 
 
 def propagate_region(model: LatticeModel, buf: FieldBuffer,
@@ -191,11 +134,13 @@ def propagate_region(model: LatticeModel, buf: FieldBuffer,
     X sources land in the halo columns, which the caller must keep current.
     """
     _check_region(buf, region, model.R)
-    prv, nxt = buf.view("prv"), buf.view("nxt")
-    xs = slice(region.x_begin, region.x_end)
-    for a_span, b_span in _row_blocks(region, nxt.shape[3]):
-        for p, c in enumerate(model.velocities):
-            _pull(prv, p, c, (xs, a_span, b_span), nxt[p, xs, a_span, b_span])
+    r, w = model.R, region.columns
+    src = buf.columns(region.x_begin - r, w + 2 * r, "prv")
+    out = np.empty((model.Q, w, region.rows))
+    for p, (cx, cy) in enumerate(model.velocities):
+        out[p] = np.roll(src[p, r - cx:r - cx + w], cy, axis=1)[
+            :, region.y_begin:region.y_end]
+    _store_rows(buf, region, out, "nxt")
 
 
 def _density_momentum(model: LatticeModel, f: np.ndarray):
@@ -283,45 +228,17 @@ def equilibrium(model: LatticeModel, m: Macroscopics) -> np.ndarray:
     return feq
 
 
-#: The fused step and the reference collide run in blocks of about this many
-#: sites: BLOCK_SITES // rows whole region columns, at least one.  The fused
-#: step loads most vectors straight from prv and pulls only a block's staged
-#: rows into one buffer: for D2Q37 SoA at 256 rows, the 8 rows at each end
-#: of a column, about 21 kB.  This keeps it well within L2 while each
-#: population's runs stay long enough to stream.  A perfbench sweep of the kernel that
-#: writes each relaxed vector straight to nxt (2-vCPU Xeon, 20 s runs, 2
-#: per size, in alternating order) gave MLUPS 512: 24.0/23.5, 1024:
-#: 23.4/24.5, 2048: 15.8/22.8 on bulk-q37 and 512: 54.9/66.8, 1024:
-#: 54.0/62.1, 2048: 64.9/63.3 on ring2-q9-tcp: no size ahead on both
-#: beyond the spread between runs.
-BLOCK_SITES = 1024
-
-
 def collide_region(model: LatticeModel, params: ModelParams, buf: FieldBuffer,
                    region: Region, src: str = "nxt", dst: str = "prv") -> None:
     """Site-local BGK relaxation: out = (1 - omega) in + omega f_eq(in),
-    omega = 1/tau, computed from rho and j without forming u or T; reads the
-    src view and writes the dst view, in blocks of BLOCK_SITES // rows
-    columns crossed with each row rectangle.  A block whose population slabs
-    are not contiguous in dst is relaxed in one staging array and stored."""
+    omega = 1/tau, computed from rho and j without forming u or T; reads
+    region from the src arena and writes it to the dst arena."""
     _check_region(buf, region)
-    fin, fout = buf.view(src), buf.view(dst)
-    width = max(1, BLOCK_SITES // region.rows)
-    stage = np.empty(model.Q * region.rows * min(width, region.columns))
-    for x0 in range(region.x_begin, region.x_end, width):
-        xs = slice(x0, min(x0 + width, region.x_end))
-        for a_span, b_span in _row_blocks(region, fout.shape[3]):
-            block_in = fin[:, xs, a_span, b_span]
-            out = f = fout[:, xs, a_span, b_span]
-            if not out[0].flags.c_contiguous:
-                f = stage[:out.size].reshape(out.shape)
-            if not block_in[0].flags.c_contiguous:
-                f[...] = block_in
-                block_in = f
-            rho, jx, jy = _density_momentum(model, block_in)
-            _relax(model, block_in, rho, jx, jy, 1.0 / params.tau, out=f)
-            if f is not out:
-                out[...] = f
+    f = buf.columns(region.x_begin, region.columns, src)[
+        :, :, region.y_begin:region.y_end]
+    rho, jx, jy = _density_momentum(model, f)
+    _relax(model, f, rho, jx, jy, 1.0 / params.tau, out=f)
+    _store_rows(buf, region, f, dst)
 
 
 def apply_bc(model: LatticeModel, buf: FieldBuffer, policy: BoundaryPolicy,
@@ -339,11 +256,13 @@ def apply_bc(model: LatticeModel, buf: FieldBuffer, policy: BoundaryPolicy,
     if region is None:
         region = interior_region(buf.geom)
     _check_region(buf, region)
-    prv, nxt = buf.view("prv"), buf.view("nxt")
-    xs = slice(region.x_begin, region.x_end)
-    for a_span, b_span in _row_blocks(region, nxt.shape[3]):
-        _bounce_back(model, prv, (xs, a_span, b_span),
-                     nxt[:, xs, a_span, b_span])
+    x0, w, ly = region.x_begin, region.columns, buf.geom.ly
+    prv, nxt = buf.columns(x0, w, "prv"), buf.columns(x0, w, "nxt")
+    ys = np.arange(region.y_begin, region.y_end)
+    for p, (_cx, cy) in enumerate(model.velocities):
+        wall = ys[(ys < cy) | (ys >= ly + cy)]  # y - cy outside [0, LY)
+        nxt[p][:, wall] = prv[model.opposite[p]][:, wall]
+    buf.set_columns(x0, nxt, "nxt")
 
 
 #: The command that builds `_kernel.c`; the output and source paths are
@@ -454,6 +373,19 @@ def _coefficients(model: LatticeModel, params: ModelParams):
     args = (model.Q, *ptr[:3], len(pairs), *ptr[3:],
             0.5 / cs2, 0.5 / (cs2 * cs2), 1.0 - omega)
     return ints + floats, args
+
+
+#: The fused step runs in blocks of about this many sites: BLOCK_SITES //
+#: rows whole region columns, at least one.  It loads most vectors straight
+#: from prv and pulls only a block's staged rows into one buffer: for D2Q37
+#: SoA at 256 rows, the 8 rows at each end of a column, about 21 kB.  This
+#: keeps it well within L2 while each population's runs stay long enough to
+#: stream.  A perfbench sweep of the kernel that writes each relaxed vector
+#: straight to nxt (2-vCPU Xeon, 20 s runs, 2 per size, in alternating
+#: order) gave MLUPS 512: 24.0/23.5, 1024: 23.4/24.5, 2048: 15.8/22.8 on
+#: bulk-q37 and 512: 54.9/66.8, 1024: 54.0/62.1, 2048: 64.9/63.3 on
+#: ring2-q9-tcp: no size ahead on both beyond the spread between runs.
+BLOCK_SITES = 1024
 
 
 def stream_collide_region(model: LatticeModel, params: ModelParams,

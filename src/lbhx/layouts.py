@@ -10,9 +10,9 @@ default `interleaved` clustering y = k * LYOVL + iy; with `consecutive`
 clustering y = iy * VL + k (k is the intra-cluster position).
 
 Every layout is also a strided numpy view of its arena, of shape
-(Q, alloc_LX, A, B) with y = a * B + b (see FieldBuffer.view); kernels and
-halo moves work on that view.  CSoA with consecutive clustering has the same
-memory map as SoA for every VL.
+(Q, alloc_LX, A, B) with y = a * B + b (see FieldBuffer.view); the compiled
+kernel and the halo moves work on that view.  CSoA with consecutive
+clustering has the same memory map as SoA for every VL.
 
 Each arena starts on a 64-B cache line, so 8 consecutive doubles from a
 multiple-of-8 offset are one line, as the paper's layouts intend.  Where an

@@ -108,6 +108,8 @@ def whatif(profile: PerfProfile, lx: int, ly: int,
     At M=0 the curve is independent of tau_h, so measured M=0 points from the
     current hardware remain valid anchors for a substituted host.
     """
+    if m_step < 1:
+        raise ConfigurationError(f"m_step must be >= 1, got {m_step}")
     overrides = overrides or {}
     for key in overrides:
         if key not in ("tau_d", "tau_h", "tau_c", "t_swap"):

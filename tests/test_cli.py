@@ -18,15 +18,14 @@ def run_cli(capsys, *argv):
 
 
 def test_bench_csv_structure(capsys):
-    code, out, err = run_cli(capsys, "bench", "--kernels", "propagate",
-                             "--layouts", "aos,caosoa", "--iters", "3",
-                             "--warmup", "1", "--lattice-lx", "24",
-                             "--lattice-ly", "32")
+    code, out, err = run_cli(capsys, "bench", "--layouts", "aos,caosoa",
+                             "--iters", "3", "--warmup", "1",
+                             "--lattice-lx", "24", "--lattice-ly", "32")
     assert code == 0, err
     report = BenchReport.from_csv(out)
-    assert report.columns == ["kernel", "layout", "vl", "lx", "ly", "t_ms",
-                              "ratio", "ratio_q1", "ratio_q3", "mlups",
-                              "gbs", "roof_frac"]
+    assert report.columns == ["layout", "vl", "lx", "ly", "t_ms", "ratio",
+                              "ratio_q1", "ratio_q3", "mlups", "gbs",
+                              "roof_frac"]
     assert [r["layout"] for r in report.rows] == ["aos", "caosoa"]
     assert report.rows[0]["ratio"] == 1.0  # the first layout is the reference
     for row in report.rows:
@@ -42,7 +41,7 @@ def test_bench_json_appends_a_record_per_call(capsys, tmp_path):
     """--json FILE appends one record, the report's metadata and rows, to
     the JSON list in FILE: a second call keeps the first record as it was."""
     path = tmp_path / "BENCH_kernels.json"
-    argv = ["bench", "--kernels", "step", "--layouts", "aos,soa",
+    argv = ["bench", "--layouts", "aos,soa",
             "--iters", "3", "--warmup", "1", "--lattice-lx", "16",
             "--lattice-ly", "16", "--json", str(path)]
     code, out, err = run_cli(capsys, *argv)
@@ -100,10 +99,10 @@ def test_sweep_vl_needs_a_clustered_layout(capsys):
 
 def test_bench_output_file(tmp_path, capsys):
     out_file = tmp_path / "bench.csv"
-    code, out, err = run_cli(capsys, "bench", "--kernels", "propagate",
-                             "--layouts", "soa", "--iters", "2",
-                             "--warmup", "1", "--lattice-lx", "24",
-                             "--lattice-ly", "32", "-o", str(out_file))
+    code, out, err = run_cli(capsys, "bench", "--layouts", "soa",
+                             "--iters", "2", "--warmup", "1",
+                             "--lattice-lx", "24", "--lattice-ly", "32",
+                             "-o", str(out_file))
     assert code == 0, err
     assert out == ""
     report = BenchReport.from_csv(out_file.read_text())
@@ -310,7 +309,7 @@ def test_autotune_tuning_error_exits_one(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("bench", "--kernels", "step", "--layouts", "soa", "--iters", "1",
+    ("bench", "--layouts", "soa", "--iters", "1",
      "--lattice-lx", "24", "--lattice-ly", "32"),
     ("scale", "--ranks", "2", "--transport", "tcp", "--hetero-m", "2",
      "--lattice-lx", "48", "--lattice-ly", "16", "--run-iterations", "2"),
@@ -336,10 +335,34 @@ def test_failed_kernel_allocation_exits_2_naming_the_phase(monkeypatch,
     2 and the fault's message, not a traceback."""
     from lbhx import kernels
     monkeypatch.setattr(kernels, "load_kernel", lambda: lambda *args: 123456)
-    code, _, err = run_cli(capsys, "bench", "--kernels", "step",
-                           "--layouts", "soa", "--iters", "1",
+    code, _, err = run_cli(capsys, "bench", "--layouts", "soa", "--iters", "1",
                            "--lattice-lx", "24", "--lattice-ly", "32")
     assert code == 2, err
     assert err.startswith("runtime fault: cannot allocate 123456 bytes ")
     assert "(phase: fused kernel block buffer)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("bench", "-c", "/nonexistent"), "/nonexistent"),
+    (("bench", "-o", "/nonexistent/x.csv"), "/nonexistent/x.csv"),
+    (("load", "/nonexistent"), "/nonexistent"),
+    (("predict", "--profile", "/nonexistent"), "/nonexistent"),
+    (("autotune", "--save", "/nonexistent/d/p"), "/nonexistent/d/p"),
+    (("dump", "--out", "/nonexistent/d/x"), "/nonexistent/d/x"),
+    (("scale", "--ranks", "0"), "--ranks"),
+    (("scale", "--ranks", "a"), "--ranks"),
+    (("sweep-vl", "--vls", "x"), "--vls"),
+    (("predict", "--registry", "k80_like", "--m-step", "0"), "m_step"),
+    (("predict", "--registry", "k80_like", "--m-step", "-1"), "m_step"),
+], ids=["bench-config", "bench-output", "load", "predict-profile",
+        "autotune-save", "dump-out", "ranks-zero", "ranks-word", "vls-word",
+        "m-step-zero", "m-step-negative"])
+def test_bad_file_or_number_exits_1_naming_it(capsys, argv, named):
+    """A file that cannot be read or written, or a count that is not a
+    positive integer, ends the command with exit 1 and a message naming it,
+    before any work is timed."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "", err
+    assert err.startswith("error:") and named in err
     assert "Traceback" not in err

@@ -172,13 +172,11 @@ def test_collide_in_strips_is_bit_identical_to_whole(name):
 BLOCK_LY = 16
 
 
-@pytest.mark.parametrize("block_sites", [1, 7, BLOCK_LY - 1, 3 * BLOCK_LY])
 @pytest.mark.parametrize("name", ["d2q9", "d2q37"])
-def test_collide_blocks_are_bit_identical_to_one_block(monkeypatch, name,
-                                                       block_sites):
-    """One-column blocks, a partial last block and staged (non-contiguous)
-    blocks reproduce a one-block collide bit for bit on every layout, over
-    full-height and partial row ranges, and never write the nxt arena."""
+def test_collide_writes_dst_only_inside_its_region(name):
+    """On every layout, over full-height and partial row ranges, collide
+    never writes its src arena (nxt), and writes dst (prv) only inside the
+    region."""
     model = builtin_model(name)
     params = ModelParams(tau=0.7)
     geom = Geometry(14, BLOCK_LY, halo=3)  # interior columns 3..16
@@ -186,17 +184,18 @@ def test_collide_blocks_are_bit_identical_to_one_block(monkeypatch, name,
                Region(4, 15, 6, 9)]
     for desc in ALL_DESCRIPTORS:
         for region in regions:
-            finals = []
-            for sites in (geom.alloc_lx * geom.ly, block_sites):
-                monkeypatch.setattr(kernels, "BLOCK_SITES", sites)
-                buf, _ = _random_buf(model, desc, geom, seed=24)
-                buf.nxt[:] = buf.prv
-                buf.prv[:] = -1.0
-                before = buf.nxt.copy()
-                collide_region(model, params, buf, region)
-                assert np.array_equal(buf.nxt, before), (desc, region)
-                finals.append(buf.prv)
-            assert np.array_equal(*finals), (desc, region, block_sites)
+            buf, _ = _random_buf(model, desc, geom, seed=24)
+            buf.nxt[:] = buf.prv
+            buf.prv[:] = -1.0
+            before = buf.nxt.copy()
+            collide_region(model, params, buf, region)
+            assert np.array_equal(buf.nxt, before), (desc, region)
+            inside = np.zeros((model.Q, geom.alloc_lx, geom.ly), bool)
+            inside[:, region.x_begin:region.x_end,
+                   region.y_begin:region.y_end] = True
+            prv = buf.columns(0, geom.alloc_lx)
+            assert np.all(prv[~inside] == -1.0), (desc, region)
+            assert np.all(prv[inside] != -1.0), (desc, region)
 
 
 @pytest.mark.parametrize("name", ["d2q9", "d2q37"])
