@@ -148,6 +148,9 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
     iterations = _as_int(values, "run.iterations")
     if iterations < 0:
         raise ConfigurationError("run.iterations must be >= 0")
+    seed = _as_int(values, "run.seed")
+    if seed < 0:
+        raise ConfigurationError(f"run.seed must be >= 0, got {seed}")
     return RunConfig(
         lx=geom.lx, ly=geom.ly,
         model_name=values["model"],
@@ -158,5 +161,5 @@ def build_run_config(values: dict[str, str]) -> RunConfig:
         autotune_m=autotune_m,
         device_throttle=throttle,
         iterations=iterations,
-        seed=_as_int(values, "run.seed"),
+        seed=seed,
     )

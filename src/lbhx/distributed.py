@@ -7,11 +7,12 @@ columns.  Message payloads are the canonical (p-major, then x, then y)
 serialization of H columns as little-endian float64, framed as (tag u32,
 length u64, payload); they are always sourced from host-resident buffers.
 
-Two transports ship: in-process queues (tests, single-process runs) and TCP
-sockets over loopback, whose links the calling thread makes in turn before
-any rank forks.  `run_distributed` runs rank 0 on the calling thread; over
-TCP the other ranks are processes forked from it, each with its own
-interpreter lock, and over the in-process queues they are threads.
+Both transport kinds carry frames over one connected socket per neighbour
+pair, which the calling thread makes in turn before any rank starts: a
+loopback TCP connection (`tcp`) or a `socket.socketpair()` (`in_memory`).
+`run_distributed` runs rank 0 on the calling thread; over TCP the other
+ranks are processes forked from it, each with its own interpreter lock, and
+in memory they are threads.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import math
 import mmap
 import os
 import pickle
-import queue
 import resource
 import socket
 import struct
@@ -105,59 +105,9 @@ class Transport:
         pass
 
 
-class InMemoryFabric:
-    """Queue-backed fabric connecting n ranks inside one process."""
-
-    def __init__(self, n_ranks: int):
-        self.n_ranks = n_ranks
-        self._queues = {
-            (src, dst): queue.Queue()
-            for src in range(n_ranks) for dst in range(n_ranks) if src != dst
-        }
-
-    def transport(self, rank: int) -> "InMemoryTransport":
-        return InMemoryTransport(rank, self)
-
-
-class InMemoryTransport(Transport):
-    def __init__(self, rank: int, fabric: InMemoryFabric):
-        super().__init__(rank)
-        self.fabric = fabric
-
-    def send(self, peer: int, tag: int, payload: bytes) -> None:
-        self.fabric._queues[(self.rank, peer)].put((tag, payload))
-        self.bytes_sent += len(payload)
-
-    def recv(self, peer: int, tag: int) -> bytes:
-        queue_in = self.fabric._queues[(peer, self.rank)]
-        try:
-            frame = queue_in.get(timeout=IO_TIMEOUT)
-        except queue.Empty:
-            raise CommunicationFault(
-                f"rank {self.rank}: timeout waiting for rank {peer} "
-                f"(phase: halo recv of tag {tag})") from None
-        if frame is None:
-            raise PeerClosedFault(
-                f"rank {self.rank}: rank {peer} closed its link "
-                f"(phase: halo recv of tag {tag})")
-        got_tag, payload = frame
-        if got_tag != tag:
-            raise CommunicationFault(
-                f"rank {self.rank}: tag mismatch from rank {peer} "
-                f"(expected {tag}, got {got_tag})")
-        self.bytes_received += len(payload)
-        return payload
-
-    def close(self) -> None:
-        """Queue an end-of-stream after the frames already sent, as closing
-        a socket does."""
-        for (src, _dst), queue_out in self.fabric._queues.items():
-            if src == self.rank:
-                queue_out.put(None)
-
-
 class TcpTransport(Transport):
-    """One connected socket per neighbour; the links come from `_tcp_links`."""
+    """One connected socket per neighbour, for both transport kinds; the
+    links come from `_ring_links`."""
 
     def __init__(self, rank: int, socks: dict[int, socket.socket]):
         super().__init__(rank)
@@ -205,42 +155,64 @@ class TcpTransport(Transport):
                 pass
 
 
-def _tcp_links(n_ranks: int) -> list[dict[int, socket.socket]]:
-    """Connect each neighbour pair of the ring over loopback; returns every
+def _ring_links(n_ranks: int, link) -> list[dict[int, socket.socket]]:
+    """Join each neighbour pair of the ring with one link; returns every
     rank's {peer: socket}, with one socket per pair, so a 2-rank ring has
     one link.
 
-    The links are made in turn on the calling thread, before any rank
-    forks: one listener accepts each link right after it is dialled.  If a
-    link cannot be made, every socket made so far is closed.
+    `link(made)` returns one link's two connected ends, appending each to
+    `made` as it opens.  The links are made in turn on the calling thread,
+    and each end gets the IO_TIMEOUT deadline.  If a link cannot be made,
+    every socket made so far is closed.
     """
     socks: list[dict[int, socket.socket]] = [{} for _ in range(n_ranks)]
     made: list[socket.socket] = []
-    what = "open a loopback listener"
     try:
-        with socket.create_server(("127.0.0.1", 0)) as listener:
-            listener.settimeout(IO_TIMEOUT)
-            for a in range(n_ranks if n_ranks > 2 else n_ranks - 1):
-                b = (a + 1) % n_ranks
-                what = f"link rank {a} with rank {b}"
-                dialled = socket.create_connection(listener.getsockname(),
-                                                   timeout=IO_TIMEOUT)
-                made.append(dialled)
-                accepted = listener.accept()[0]
-                made.append(accepted)
-                if accepted.getpeername() != dialled.getsockname():
-                    raise ConnectionError("accepted another process's link")
-                for sock in (dialled, accepted):
-                    sock.settimeout(IO_TIMEOUT)
-                    # a step's halos are back-to-back writes; Nagle delays them
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                socks[a][b], socks[b][a] = dialled, accepted
+        for a in range(n_ranks if n_ranks > 2 else n_ranks - 1):
+            b = (a + 1) % n_ranks
+            socks[a][b], socks[b][a] = ends = link(made)
+            for sock in ends:
+                sock.settimeout(IO_TIMEOUT)
     except OSError as exc:
         for sock in made:
             sock.close()
-        raise CommunicationFault(
-            f"cannot {what} (phase: link set-up): {exc}") from None
+        raise CommunicationFault(f"cannot link rank {a} with rank {b} "
+                                 f"(phase: link set-up): {exc}") from None
     return socks
+
+
+def _socketpair(made: list[socket.socket]) -> list[socket.socket]:
+    """One in-process link, for `in_memory` ranks."""
+    made.extend(socket.socketpair())
+    return made[-2:]
+
+
+def _tcp_links(n_ranks: int) -> list[dict[int, socket.socket]]:
+    """`_ring_links` over loopback TCP, made before any rank forks: one
+    listener accepts each link right after it is dialled."""
+    try:
+        listener = socket.create_server(("127.0.0.1", 0))
+    except OSError as exc:
+        raise CommunicationFault("cannot open a loopback listener "
+                                 f"(phase: link set-up): {exc}") from None
+    with listener:
+        listener.settimeout(IO_TIMEOUT)
+        return _ring_links(n_ranks, partial(_dial, listener))
+
+
+def _dial(listener: socket.socket,
+          made: list[socket.socket]) -> list[socket.socket]:
+    """One loopback TCP link: (dialled end, accepted end)."""
+    made.append(socket.create_connection(listener.getsockname(),
+                                         timeout=IO_TIMEOUT))
+    made.append(listener.accept()[0])
+    dialled, accepted = ends = made[-2:]
+    if accepted.getpeername() != dialled.getsockname():
+        raise ConnectionError("accepted another process's link")
+    for sock in ends:
+        # a step's halos are back-to-back writes; Nagle delays them
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return ends
 
 
 def _recv_exact(sock: socket.socket, count: int, rank: int, peer: int,
@@ -294,10 +266,20 @@ def exchange_rank_halos(buf: FieldBuffer, layout: RankLayout,
                         transport: Transport) -> None:
     """Fill the outer H halo columns with both neighbors' edge columns.
 
-    Single-rank layouts degrade to the periodic X wrap.  With multiple ranks,
-    even ranks send first and odd ranks receive first, which pairs up the
-    blocking calls on a synchronous transport (ring ordering; for odd ring
-    sizes the one even-even link relies on transport buffering).
+    Single-rank layouts degrade to the periodic X wrap.  With multiple
+    ranks, even ranks send right, send left, receive left, receive right,
+    and odd ranks receive left, receive right, send right, send left.  In
+    an odd ring the last rank, n-1, is even like its right neighbour, rank
+    0; it alone receives right, sends left, receives left, sends right.
+
+    So every call is met by the peer's matching call without waiting on a
+    third rank: each even-odd link carries the even rank's send while the
+    odd rank receives, then the reverse, and on the link (n-1, 0) rank 0's
+    second send meets rank n-1's first receive and rank n-1's last send
+    meets rank 0's first receive.  No rank waits, through its neighbours,
+    on itself, so the exchange finishes even when every send blocks until
+    the peer has received it (MPI's "safe" order; no transport buffering
+    is needed at any halo size).
     """
     g = buf.geom
     h = g.halo
@@ -323,7 +305,9 @@ def exchange_rank_halos(buf: FieldBuffer, layout: RankLayout,
         _unpack_columns(buf, h + g.lx, h,
                         transport.recv(layout.right, TAG_TO_LEFT))
 
-    if layout.rank % 2 == 0:
+    if layout.n_ranks % 2 and layout.rank == layout.n_ranks - 1:
+        recv_right(); send_left(); recv_left(); send_right()
+    elif layout.rank % 2 == 0:
         send_right(); send_left(); recv_left(); recv_right()
     else:
         recv_left(); recv_right(); send_right(); send_left()
@@ -500,12 +484,13 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
 
     Rank 0 runs on the calling thread.  Over TCP every other rank runs in a
     child forked from it, so ranks do not share an interpreter lock, and
-    writes its final slice into a shared map of the merged state.  The
-    in-memory fabric's queues live in this process, so its other ranks are
-    threads.  Each rank's border width comes from `hetero.rank_border_widths`
-    with `profile`.  Returns (BenchReport, merged canonical state, list of
-    RankResult).  A failed rank raises CommunicationFault naming the rank
-    where the failure started, with that rank's own message.
+    writes its final slice into a shared map of the merged state.  In
+    memory the other ranks are threads of this process, which holds both
+    ends of every socketpair.  Each rank's border width comes from
+    `hetero.rank_border_widths` with `profile`.  Returns (BenchReport,
+    merged canonical state, list of RankResult).  A failed rank raises
+    CommunicationFault naming the rank where the failure started, with
+    that rank's own message.
     """
     import statistics
 
@@ -530,13 +515,13 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
     # the links come last, so that little can fail before _run_ranks owns
     # them and closes them whatever happens
     if transport_kind == "in_memory":
-        fabric = InMemoryFabric(n_ranks)
-        transports = [fabric.transport(r) for r in range(n_ranks)]
+        links = _ring_links(n_ranks, _socketpair)
     elif transport_kind == "tcp":
-        transports = [TcpTransport(rank, socks)
-                      for rank, socks in enumerate(_tcp_links(n_ranks))]
+        links = _tcp_links(n_ranks)
     else:
         raise ConfigurationError(f"unknown transport {transport_kind!r}")
+    transports = [TcpTransport(rank, socks)
+                  for rank, socks in enumerate(links)]
     bodies = [partial(_rank_body, cfg, lay, m, transport,
                       initial_state[cols], merged[cols])
               for lay, m, transport, cols

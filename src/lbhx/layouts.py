@@ -292,6 +292,8 @@ def load_dump(data: bytes) -> tuple[np.ndarray, dict]:
     """Parse an LBHX dump; returns (canonical array (Q, LX, LY), metadata)."""
     if data[:4] != MAGIC:
         raise ConfigurationError("not an LBHX dump (bad magic)")
+    if len(data) < 32:
+        raise ConfigurationError("truncated LBHX dump")
     version, lx, ly, nq, family, vl, clustering = struct.unpack_from("<7I", data, 4)
     if version != DUMP_VERSION:
         raise ConfigurationError(f"unsupported dump version {version}")

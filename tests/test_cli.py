@@ -355,14 +355,25 @@ def test_failed_kernel_allocation_exits_2_naming_the_phase(monkeypatch,
     (("sweep-vl", "--vls", "x"), "--vls"),
     (("predict", "--registry", "k80_like", "--m-step", "0"), "m_step"),
     (("predict", "--registry", "k80_like", "--m-step", "-1"), "m_step"),
+    (("load", "{short}"), "truncated LBHX dump"),
+    (("dump", "--run-seed", "-1", "--out", "{out}"), "run.seed"),
+    (("bench", "--run-seed", "-1"), "run.seed"),
+    (("scale", "--ranks", "2", "--run-seed", "-5"), "run.seed"),
 ], ids=["bench-config", "bench-output", "load", "predict-profile",
         "autotune-save", "dump-out", "ranks-zero", "ranks-word", "vls-word",
-        "m-step-zero", "m-step-negative"])
-def test_bad_file_or_number_exits_1_naming_it(capsys, argv, named):
-    """A file that cannot be read or written, or a count that is not a
-    positive integer, ends the command with exit 1 and a message naming it,
-    before any work is timed."""
+        "m-step-zero", "m-step-negative", "load-short", "dump-seed-negative",
+        "bench-seed-negative", "scale-seed-negative"])
+def test_bad_file_or_number_exits_1_naming_it(capsys, tmp_path, argv, named):
+    """A file that cannot be read or written, or holds less than a dump's
+    header, or a count that is not a positive integer, or a negative seed,
+    ends the command with exit 1 and a message naming it, before any work
+    is timed."""
+    short = tmp_path / "short.lbhx"
+    short.write_bytes(b"LBHX\x01\x00")
+    out_path = tmp_path / "x.lbhx"
+    argv = [a.format(short=short, out=out_path) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "", err
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
+    assert not out_path.exists()

@@ -72,6 +72,9 @@ def test_build_validation():
         _build(**{"hetero.m": "4", "hetero.autotune": "true"})
     with pytest.raises(ConfigurationError):
         _build(**{"run.iterations": "-1"})
+    with pytest.raises(ConfigurationError, match="run.seed"):
+        _build(**{"run.seed": "-1"})
+    assert _build(**{"run.seed": "0"}).seed == 0
     with pytest.raises(ConfigurationError):
         _build(**{"lattice.lx": "many"})
     for throttle in ("0.5", "nan", "inf"):

@@ -1,12 +1,14 @@
 """Multi-rank tests: X decomposition, halo-exchange traffic accounting, and
 bit-exact agreement between 1-rank and n-rank runs over both transports."""
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import lbhx.distributed as D
 from lbhx.config import DEFAULTS, build_run_config
-from lbhx.distributed import (InMemoryFabric, RankLayout, decompose_x,
+from lbhx.distributed import (RankLayout, Transport, decompose_x,
                               exchange_rank_halos, run_distributed)
 from lbhx.errors import CommunicationFault, ConfigurationError
 from lbhx.hetero import random_state
@@ -46,50 +48,149 @@ def test_ring_neighbors():
     assert (lay.left, lay.right) == (2, 0)
 
 
-def test_exchange_moves_neighbor_edges():
-    """Two ranks, hand-built buffers: each halo ends up holding the
-    neighbor's interior edge columns."""
+def _links(kind, n_ranks):
+    """Each rank's {peer: socket} over `kind`, as `run_distributed` makes
+    them."""
+    if kind == "tcp":
+        return D._tcp_links(n_ranks)
+    return D._ring_links(n_ranks, D._socketpair)
+
+
+def _transports(kind, n_ranks):
+    return [D.TcpTransport(rank, socks)
+            for rank, socks in enumerate(_links(kind, n_ranks))]
+
+
+def _exchange_on_threads(width, ly, halo, transports, seed=33):
+    """Run one `exchange_rank_halos` per rank, each on its own thread, over
+    hand-built buffers of `width` interior columns; returns the ring's
+    canonical state, the layouts, the buffers and each thread's error."""
     model = builtin_model("d2q9")
-    geom = Geometry(12, 8, halo=3)
-    fabric = InMemoryFabric(2)
-    layouts = decompose_x(24, 2, halo=3)
-    full = random_state(model, 24, 8, 33)
+    n = len(transports)
+    layouts = decompose_x(width * n, n, halo=halo)
+    full = random_state(model, width * n, ly, seed)
     bufs = []
     for lay in layouts:
-        buf = FieldBuffer(LayoutDescriptor(Family.SOA), geom, model.Q)
-        buf.set_canonical(full[:, lay.x0:lay.x0 + 12, :])
+        buf = FieldBuffer(LayoutDescriptor(Family.SOA),
+                          Geometry(width, ly, halo=halo), model.Q)
+        buf.set_canonical(full[:, lay.x0:lay.x0 + width, :])
         bufs.append(buf)
-    import threading
-    transports = [fabric.transport(0), fabric.transport(1)]
-    threads = [threading.Thread(target=exchange_rank_halos,
-                                args=(bufs[i], layouts[i], transports[i]))
-               for i in range(2)]
+    errors = [None] * n
+
+    def exchange(rank):
+        try:
+            exchange_rank_halos(bufs[rank], layouts[rank], transports[rank])
+        except Exception as exc:
+            errors[rank] = exc
+
+    threads = [threading.Thread(target=exchange, args=(rank,), daemon=True)
+               for rank in range(n)]
     for th in threads:
         th.start()
     for th in threads:
-        th.join()
-    for i, buf in enumerate(bufs):
-        left_halo = buf.columns(0, 3)
-        right_halo = buf.columns(15, 3)
-        left_neighbor = full[:, (np.arange(-3, 0) + layouts[i].x0) % 24, :]
-        right_neighbor = full[:, (np.arange(3) + layouts[i].x0 + 12) % 24, :]
+        th.join(timeout=60.0)
+        assert not th.is_alive(), "a rank's exchange never ended"
+    return full, layouts, bufs, errors
+
+
+def _assert_halos_hold_neighbor_edges(full, layouts, bufs, halo):
+    lx = full.shape[1]
+    for lay, buf in zip(layouts, bufs):
+        width = buf.geom.lx
+        left_halo = buf.columns(0, halo)
+        right_halo = buf.columns(halo + width, halo)
+        left_neighbor = full[:, (np.arange(-halo, 0) + lay.x0) % lx, :]
+        right_neighbor = full[:, (np.arange(halo) + lay.x0 + width) % lx, :]
         assert np.array_equal(left_halo, left_neighbor)
         assert np.array_equal(right_halo, right_neighbor)
-        t = transports[i]
+
+
+def test_exchange_moves_neighbor_edges():
+    """Two ranks over socketpair links, hand-built buffers: each halo ends
+    up holding the neighbor's interior edge columns."""
+    model = builtin_model("d2q9")
+    transports = _transports("in_memory", 2)
+    try:
+        full, layouts, bufs, errors = _exchange_on_threads(12, 8, 3,
+                                                           transports)
+    finally:
+        for t in transports:
+            t.close()
+    assert errors == [None, None]
+    _assert_halos_hold_neighbor_edges(full, layouts, bufs, 3)
+    for t in transports:
         assert t.bytes_sent == 2 * 3 * 8 * model.Q * 8
         assert t.bytes_received == 2 * 3 * 8 * model.Q * 8
+
+
+class _Rendezvous:
+    """Channels between rank threads on which `send` returns only once the
+    peer's `recv` has taken the payload, as MPI_Ssend does: no buffering,
+    so any exchange order that relies on it hangs.  A call that waits past
+    `deadline` seconds raises instead of stalling the test."""
+
+    def __init__(self, deadline=2.0):
+        self.cond = threading.Condition()
+        self.slots = {}  # (src, dst) -> (tag, payload) not yet received
+        self.deadline = deadline
+
+
+class _RendezvousTransport(Transport):
+    def __init__(self, rank, hub):
+        super().__init__(rank)
+        self.hub = hub
+
+    def send(self, peer, tag, payload):
+        key, hub = (self.rank, peer), self.hub
+        with hub.cond:
+            hub.slots[key] = (tag, bytes(payload))
+            hub.cond.notify_all()
+            if not hub.cond.wait_for(lambda: key not in hub.slots,
+                                     hub.deadline):
+                raise CommunicationFault(
+                    f"rank {self.rank}: send of tag {tag} to rank {peer} "
+                    "was never received")
+        self.bytes_sent += len(payload)
+
+    def recv(self, peer, tag):
+        key, hub = (peer, self.rank), self.hub
+        with hub.cond:
+            if not hub.cond.wait_for(lambda: key in hub.slots, hub.deadline):
+                raise CommunicationFault(
+                    f"rank {self.rank}: no tag {tag} from rank {peer}")
+            got_tag, payload = hub.slots.pop(key)
+            hub.cond.notify_all()
+        assert got_tag == tag
+        self.bytes_received += len(payload)
+        return payload
+
+
+@pytest.mark.parametrize("n_ranks", range(2, 9))
+def test_exchange_order_needs_no_buffering(n_ranks):
+    """Every ring size finishes its exchange when each send blocks until
+    the peer has received it, and every halo holds its neighbor's edge."""
+    hub = _Rendezvous()
+    transports = [_RendezvousTransport(rank, hub) for rank in range(n_ranks)]
+    full, layouts, bufs, errors = _exchange_on_threads(4, 8, 1, transports)
+    assert errors == [None] * n_ranks
+    _assert_halos_hold_neighbor_edges(full, layouts, bufs, 1)
+    assert hub.slots == {}
+    for t in transports:
+        assert t.bytes_sent == t.bytes_received == 2 * 8 * 9 * 8
 
 
 def test_payload_length_is_validated():
     model = builtin_model("d2q9")
     geom = Geometry(12, 8, halo=3)
     buf = FieldBuffer(LayoutDescriptor(Family.SOA), geom, model.Q)
-    fabric = InMemoryFabric(2)
-    t0, t1 = fabric.transport(0), fabric.transport(1)
-    t1.send(0, 1, b"short")
-    from lbhx.distributed import _unpack_columns
-    with pytest.raises(CommunicationFault):
-        _unpack_columns(buf, 0, 3, t0.recv(1, 1))
+    t0, t1 = _transports("in_memory", 2)
+    try:
+        t1.send(0, 1, b"short")
+        with pytest.raises(CommunicationFault):
+            D._unpack_columns(buf, 0, 3, t0.recv(1, 1))
+    finally:
+        t0.close()
+        t1.close()
 
 
 @pytest.mark.parametrize("transport", ["in_memory", "tcp"])
@@ -170,12 +271,6 @@ def test_unknown_transport_rejected():
         run_distributed(cfg, 2, "carrier_pigeon")
 
 
-def _tcp_transports(n_ranks):
-    import lbhx.distributed as D
-    return [D.TcpTransport(rank, socks)
-            for rank, socks in enumerate(D._tcp_links(n_ranks))]
-
-
 @contextmanager
 def _closes_every_fd():
     """Fail if the block leaves a descriptor open, or leaves a socket for
@@ -193,19 +288,19 @@ def _closes_every_fd():
     assert sorted(os.listdir("/proc/self/fd")) == before
 
 
+@pytest.mark.parametrize("kind", ["in_memory", "tcp"])
 @pytest.mark.parametrize("n_ranks", [2, 3, 4])
-def test_tcp_links_join_each_neighbour_pair_once(monkeypatch, n_ranks):
-    """Every rank holds one socket per neighbour, each neighbour pair
-    shares one link (so a 2-rank ring has one), and bytes sent on one end
-    of a link arrive on the other.  Set-up starts no thread."""
-    import threading
-    import lbhx.distributed as D
+def test_tcp_links_join_each_neighbour_pair_once(monkeypatch, n_ranks, kind):
+    """Over either kind, every rank holds one socket per neighbour, each
+    neighbour pair shares one link (so a 2-rank ring has one), and bytes
+    sent on one end of a link arrive on the other.  Set-up starts no
+    thread."""
 
     def no_thread(self):
         raise AssertionError("link set-up started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    links = D._tcp_links(n_ranks)
+    links = _links(kind, n_ranks)
     try:
         for lay, socks in zip(decompose_x(2 * n_ranks, n_ranks, halo=1),
                               links):
@@ -229,7 +324,6 @@ def test_tcp_link_failure_names_both_ranks_and_leaks_nothing(monkeypatch):
     naming the link's ranks, and closes every socket made before it."""
     import errno
     import socket
-    import lbhx.distributed as D
     real = socket.create_connection
     calls = [0]
 
@@ -250,7 +344,6 @@ def test_tcp_link_set_up_rejects_a_stranger(monkeypatch):
     """A connection from elsewhere that reaches the listener before a
     link's own dial fails set-up, instead of joining a rank to it."""
     import socket
-    import lbhx.distributed as D
     real = socket.create_connection
     strangers = []
 
@@ -276,7 +369,6 @@ def test_failed_fork_exits_2_and_leaks_nothing(monkeypatch, capsys):
     import errno
     import os
     import time
-    import lbhx.distributed as D
     from lbhx.cli import main
     real_fork = os.fork
     calls = [0]
@@ -305,7 +397,6 @@ def test_run_distributed_builds_tcp_transports_through_the_module_name(
     `lbhx.distributed.TcpTransport` with a factory of delegating
     Transports; the run looks the name up per rank at call time and uses
     only the Transport interface."""
-    import lbhx.distributed as D
     real = D.TcpTransport
     built = []
 
@@ -347,7 +438,7 @@ def test_tcp_links_disable_nagle():
     """Both ends of every link set TCP_NODELAY, so a step's back-to-back
     halo writes to one peer are not held for a delayed ACK."""
     import socket
-    transports = _tcp_transports(3)
+    transports = _transports("tcp", 3)
     try:
         for t in transports:
             assert len(t._socks) == 2
@@ -363,8 +454,7 @@ def test_tcp_send_resumes_partial_sends_without_joining():
     """A socket that takes a few bytes per call still delivers the whole
     frame, and the payload is handed to the socket as the caller's buffer,
     never joined with the header into one copy."""
-    import lbhx.distributed as D
-    transports = _tcp_transports(2)
+    transports = _transports("tcp", 2)
     real = transports[0]._socks[1]
     seen = []
 
@@ -388,36 +478,22 @@ def test_tcp_send_resumes_partial_sends_without_joining():
             t.close()
 
 
-def test_in_memory_io_deadline_names_rank_peer_and_phase(monkeypatch):
-    """The in-memory receive reads IO_TIMEOUT when called, like TCP; a peer
-    that never sends makes recv fail with a CommunicationFault."""
+@pytest.mark.parametrize("kind", ["in_memory", "tcp"])
+def test_tcp_io_deadline_names_rank_peer_and_phase(monkeypatch, kind):
+    """Both ends of a link, over either kind, carry the same I/O deadline;
+    a peer that never sends makes recv fail with a CommunicationFault
+    instead of hanging."""
     import time
-    import lbhx.distributed as D
     monkeypatch.setattr(D, "IO_TIMEOUT", 0.2)
-    fabric = InMemoryFabric(2)
-    for rank in (0, 1):
-        t0 = time.monotonic()
-        with pytest.raises(CommunicationFault) as err:
-            fabric.transport(rank).recv(1 - rank, D.TAG_TO_RIGHT)
-        assert time.monotonic() - t0 < 10.0
-        msg = str(err.value)
-        assert f"rank {rank}:" in msg
-        assert f"waiting for rank {1 - rank}" in msg
-        assert "phase: halo recv of tag 1" in msg
-
-
-def test_tcp_io_deadline_names_rank_peer_and_phase(monkeypatch):
-    """Both ends of a link carry the same I/O deadline; a peer that never
-    sends makes recv fail with a CommunicationFault instead of hanging."""
-    import lbhx.distributed as D
-    monkeypatch.setattr(D, "IO_TIMEOUT", 0.2)
-    transports = _tcp_transports(2)
+    transports = _transports(kind, 2)
     try:
         for t in transports:
             assert t._socks[1 - t.rank].gettimeout() == 0.2
         for t in transports:
+            t0 = time.monotonic()
             with pytest.raises(CommunicationFault) as err:
                 t.recv(1 - t.rank, D.TAG_TO_RIGHT)
+            assert time.monotonic() - t0 < 10.0
             msg = str(err.value)
             assert f"rank {t.rank}:" in msg
             assert f"from rank {1 - t.rank}" in msg
@@ -430,7 +506,6 @@ def test_tcp_io_deadline_names_rank_peer_and_phase(monkeypatch):
 def _fail_rank(monkeypatch, rank, action, at_exchange=4):
     """Make `rank` call `action` at its `at_exchange`-th halo exchange (the
     first is load_state's), through the name `_rank_body` looks up."""
-    import lbhx.distributed as D
     real = D.exchange_rank_halos
     calls = [0]
 
@@ -469,7 +544,6 @@ def test_failure_names_the_rank_where_it_started(monkeypatch, transport):
     """Rank 1 fails; rank 0 then reads a closed link.  The fault names rank
     1 and keeps its message instead of reporting rank 0's short read."""
     import time
-    import lbhx.distributed as D
     monkeypatch.setattr(D, "IO_TIMEOUT", 1.0)
     _fail_rank(monkeypatch, 1, _raise_injected)
     t0 = time.monotonic()
@@ -479,6 +553,38 @@ def test_failure_names_the_rank_where_it_started(monkeypatch, transport):
     msg = str(err.value)
     assert msg.startswith("rank 1 failed during the run")
     assert "RuntimeError: injected fault in rank 1" in msg
+
+
+def test_in_memory_runs_close_every_socket(monkeypatch):
+    """In-memory ranks hold socketpair ends: a 3-rank run closes all of
+    them, and so does a run in which rank 1 fails."""
+    with _closes_every_fd():
+        run_distributed(_ring_cfg(3), 3, "in_memory")
+    _fail_rank(monkeypatch, 1, _raise_injected)
+    with _closes_every_fd(), pytest.raises(
+            CommunicationFault, match="rank 1 failed during the run: "
+            "RuntimeError: injected fault in rank 1"):
+        run_distributed(_ring_cfg(3), 3, "in_memory")
+
+
+@pytest.mark.parametrize("transport", ["in_memory", "tcp"])
+@pytest.mark.parametrize("n_ranks", [3, 5])
+def test_odd_rings_pass_halos_larger_than_socket_buffers(monkeypatch,
+                                                         transport, n_ranks):
+    """A D2Q9 halo at LY = 65536 is 4.72 MB, far more than a socket
+    buffers, so on an odd ring every send blocks until its peer receives.
+    The run still finishes well inside the I/O deadline over both kinds,
+    bit-identical to 1 rank."""
+    monkeypatch.setattr(D, "IO_TIMEOUT", 5.0)
+    cfg = _cfg(**{"lattice.lx": 2 * n_ranks, "lattice.ly": 65536,
+                  "run.iterations": 2, "hetero.m": 0})
+    halo_bytes = 9 * cfg.ly * 8  # 4,718,592
+    init = random_state(builtin_model(cfg.model_name), cfg.lx, cfg.ly, 47)
+    _, merged, results = run_distributed(cfg, n_ranks, transport,
+                                         initial_state=init)
+    assert [r.bytes_sent for r in results] == [2 * halo_bytes * 2] * n_ranks
+    _, reference, _ = run_distributed(cfg, 1, "in_memory", initial_state=init)
+    assert np.array_equal(merged, reference)
 
 
 @pytest.mark.parametrize("transport", ["in_memory", "tcp"])
@@ -500,7 +606,6 @@ def test_forked_rank_dying_without_result_is_named(monkeypatch, end, status):
     import os
     import signal
     import time
-    import lbhx.distributed as D
     monkeypatch.setattr(D, "IO_TIMEOUT", 1.0)
     action = {"exit": lambda: os._exit(3),
               "kill": lambda: os.kill(os.getpid(), signal.SIGKILL)}[end]
@@ -517,7 +622,6 @@ def test_rank0_failure_ends_forked_ranks_on_eof(monkeypatch):
     """Rank 0 fails in the caller; the forked ranks read closed links and
     end at once instead of waiting out IO_TIMEOUT."""
     import time
-    import lbhx.distributed as D
     monkeypatch.setattr(D, "IO_TIMEOUT", 1.0)
 
     def fail():

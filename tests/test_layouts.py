@@ -236,6 +236,8 @@ def test_dump_is_layout_independent():
 def test_load_dump_errors():
     with pytest.raises(ConfigurationError):
         load_dump(b"XXXX" + bytes(28))
+    with pytest.raises(ConfigurationError, match="truncated LBHX dump"):
+        load_dump(b"LBHX\x01\x00")  # shorter than the 32-B header
     geom = Geometry(4, 4, halo=0)
     buf = FieldBuffer(LayoutDescriptor(Family.SOA), geom, NQ)
     data = dump_bytes(buf)
