@@ -10,9 +10,9 @@ length u64, payload); they are always sourced from host-resident buffers.
 Both transport kinds carry frames over one connected socket per neighbour
 pair, which the calling thread makes in turn before any rank starts: a
 loopback TCP connection (`tcp`) or a `socket.socketpair()` (`in_memory`).
-`run_distributed` runs rank 0 on the calling thread; over TCP the other
-ranks are processes forked from it, each with its own interpreter lock, and
-in memory they are threads.
+`run_distributed` runs rank 0 on the calling thread and every other rank in
+a process forked from it, each with its own interpreter lock, over either
+kind; the kinds differ only in the link.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import pickle
 import resource
 import socket
 import struct
-import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -318,12 +317,12 @@ def exchange_rank_halos(buf: FieldBuffer, layout: RankLayout,
 @dataclass
 class RankResult:
     layout: RankLayout
-    final: np.ndarray | None = None
     iteration_times: list[float] = field(default_factory=list)
     bytes_sent: int = 0
     bytes_received: int = 0
     m: int = 0
-    #: peak resident set of the process that ran the rank
+    #: peak resident set of the rank's own process: the caller's for rank
+    #: 0, its forked child's for every other rank
     peak_rss_mb: float = 0.0
 
 
@@ -415,10 +414,9 @@ def _reap(rank: int, pid: int, read_fd: int) -> RankResult | tuple:
     return outcome if isinstance(outcome, RankResult) else (*outcome, None)
 
 
-def _run_ranks(bodies: list, transports: list[Transport],
-               fork: bool) -> list:
+def _run_ranks(bodies: list, transports: list[Transport]) -> list:
     """Run rank 0 on the calling thread and every other rank in a forked
-    child (`fork`) or a thread; returns each rank's `_outcome`.
+    child; returns each rank's `_outcome`.
 
     Forking happens here, on the calling thread, which has started no
     thread yet; each rank starts its device lanes only inside its body.
@@ -428,37 +426,24 @@ def _run_ranks(bodies: list, transports: list[Transport],
     ranks already forked read closed links and end.
     """
     outcomes: list = [None] * len(bodies)
-    children, threads = [], []
-
-    def in_thread(rank: int) -> None:
-        outcomes[rank] = _outcome(bodies[rank])
-
+    children = []
     try:
         for rank in range(1, len(bodies)):
-            if fork:
-                try:
-                    children.append(
-                        (rank, *_fork_rank(bodies[rank], transports[rank],
-                                           transports)))
-                except OSError as exc:
-                    raise CommunicationFault(
-                        f"rank {rank}: cannot fork (phase: launch): "
-                        f"{exc}") from None
-                transports[rank].close()
-            else:
-                th = threading.Thread(target=in_thread, args=(rank,),
-                                      name=f"lbhx-rank{rank}")
-                th.start()
-                threads.append(th)
+            try:
+                children.append(
+                    (rank, *_fork_rank(bodies[rank], transports[rank],
+                                       transports)))
+            except OSError as exc:
+                raise CommunicationFault(
+                    f"rank {rank}: cannot fork (phase: launch): "
+                    f"{exc}") from None
+            transports[rank].close()
         outcomes[0] = _outcome(bodies[0])
     finally:
         # rank 0's links (already closed if it ran) and those of any rank
         # not launched
-        launched = 1 + len(children) + len(threads)
-        for transport in (transports[0], *transports[launched:]):
+        for transport in (transports[0], *transports[1 + len(children):]):
             transport.close()
-        for th in threads:
-            th.join()
         for rank, pid, read_fd in children:
             outcomes[rank] = _reap(rank, pid, read_fd)
     return outcomes
@@ -482,11 +467,10 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
                     initial_state: np.ndarray | None = None, profile=None):
     """Run the configured simulation on n ranks and merge the results.
 
-    Rank 0 runs on the calling thread.  Over TCP every other rank runs in a
-    child forked from it, so ranks do not share an interpreter lock, and
-    writes its final slice into a shared map of the merged state.  In
-    memory the other ranks are threads of this process, which holds both
-    ends of every socketpair.  Each rank's border width comes from
+    Rank 0 runs on the calling thread.  Over either transport every other
+    rank runs in a child forked from it, so ranks do not share an
+    interpreter lock, and writes its final slice into a shared map of the
+    merged state.  Each rank's border width comes from
     `hetero.rank_border_widths` with `profile`.  Returns (BenchReport,
     merged canonical state, list of RankResult).  A failed rank raises
     CommunicationFault naming the rank where the failure started, with
@@ -526,10 +510,7 @@ def run_distributed(cfg, n_ranks: int, transport_kind: str = "in_memory",
                       initial_state[cols], merged[cols])
               for lay, m, transport, cols
               in zip(layouts, ms, transports, columns)]
-    results = _checked_results(
-        _run_ranks(bodies, transports, fork=transport_kind == "tcp"))
-    for res, cols in zip(results, columns):
-        res.final = merged[cols]
+    results = _checked_results(_run_ranks(bodies, transports))
 
     report = BenchReport("distributed", metadata={
         "n_ranks": str(n_ranks), "transport": transport_kind,

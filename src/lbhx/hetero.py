@@ -17,9 +17,10 @@ lanes = usable CPUs // ranks sharing them, at least one.  Each step:
 
 Each track runs the fused kernel on its regions and then flips its buffer's
 arenas once, so step 4 and the next exchange write the new prv.  The columns
-a track does not compute are scratch, which a change of plan first
-overwrites with each buffer's state.  The kernel reads only prv and writes
-only its region of nxt, so the slabs need no halo of their own.
+a track does not compute are scratch.  A change of plan first gives both
+buffers, in both arenas, the old plan's merged state (`state`).  The kernel
+reads only prv and writes only its region of nxt, so the slabs need no halo
+of their own.
 
 When M < H the bulk stencil reaches into the rank halo columns, so those are
 additionally pushed host->device right after the exchange, before the device
@@ -52,7 +53,6 @@ class PartitionPlan:
     """Host/device column split of one rank's interior."""
 
     m: int
-    geom: Geometry
     left: Region | None
     bulk: Region | None
     right: Region | None
@@ -68,7 +68,7 @@ def make_partition(geom: Geometry, m: int) -> PartitionPlan:
     bulk = None
     if lx - 2 * m > 0:
         bulk = Region(h + m, h + lx - m, 0, ly)
-    return PartitionPlan(m=m, geom=geom, left=left, bulk=bulk, right=right)
+    return PartitionPlan(m=m, left=left, bulk=bulk, right=right)
 
 
 def device_lanes(ranks: int = 1) -> int:
@@ -271,9 +271,12 @@ class HeteroRuntime:
         cores.
         """
         if self._plan is not None and plan != self._plan:
-            # a plan leaves the columns it does not compute stale in the
-            # scratch arena; another plan's stencil may read them after a flip
+            # the old plan's borders are current only on the host, its bulk
+            # only on the device, and its uncomputed columns are stale in
+            # the scratch arena: start both buffers from the merged state
+            merged = self.state(self._plan)
             for buf in (self.host_buf, self.device_buf):
+                buf.set_canonical(merged)
                 np.copyto(buf.nxt, buf.prv)
         self._plan = plan
         timing = TimestepTiming()
@@ -377,10 +380,6 @@ class BalancePoint:
     m: int
     measured: float
     predicted: float
-
-    @property
-    def rel_error(self) -> float:
-        return (self.measured - self.predicted) / self.predicted
 
 
 def balance_experiment(runtime: HeteroRuntime, widths: list[int],

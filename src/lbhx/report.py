@@ -1,4 +1,5 @@
-"""Benchmark report container with CSV round-trip and machine fingerprint."""
+"""Benchmark report container with CSV and JSON writers and the machine
+fingerprint."""
 from __future__ import annotations
 
 import csv
@@ -116,32 +117,3 @@ class BenchReport:
             path.write_text(json.dumps(records, indent=1) + "\n")
         except OSError as exc:
             raise ConfigurationError(f"cannot write {path}: {exc}") from None
-
-    @classmethod
-    def from_csv(cls, text: str) -> "BenchReport":
-        metadata: dict[str, str] = {}
-        body_lines = []
-        for line in text.splitlines():
-            if line.startswith("# ") and " = " in line:
-                key, _, value = line[2:].partition(" = ")
-                metadata[key.strip()] = value.strip()
-            elif line.strip():
-                body_lines.append(line)
-        reader = csv.DictReader(io.StringIO("\n".join(body_lines)))
-        report = cls(experiment=metadata.get("experiment", "unknown"),
-                     metadata=metadata)
-        report.columns = list(reader.fieldnames or [])
-        for row in reader:
-            report.rows.append({k: _parse_cell(v) for k, v in row.items()})
-        return report
-
-
-def _parse_cell(value):
-    if value is None or value == "":
-        return value
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value

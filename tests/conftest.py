@@ -7,7 +7,8 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_leaked_child_processes():
     """Fail a test that leaves a child process behind, running or unreaped:
-    `run_distributed` forks TCP ranks and must wait for every one of them."""
+    `run_distributed` forks every rank past 0 and must wait for every one of
+    them."""
     yield
     try:
         pid, _status = os.waitpid(-1, os.WNOHANG)

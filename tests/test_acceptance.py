@@ -20,6 +20,8 @@ from lbhx.layouts import Family, Geometry, LayoutDescriptor
 from lbhx.model import ModelParams, builtin_model, validate_moments
 from lbhx.perf_model import PerfProfile, autotune, mlups, optimal_m, predict
 
+from helpers import rel_error
+
 
 def emit(capsys, criterion: str, passed: bool, detail: str):
     with capsys.disabled():
@@ -170,7 +172,7 @@ def test_07_hetero_split_timing(capsys):
             rt.load_state(random_state(model, lx, ly, 72 + attempt))
             profile, points = balance_experiment(rt, widths, m_points,
                                                  rounds=20)
-            worst = max(abs(p.rel_error) for p in points)
+            worst = max(abs(rel_error(p)) for p in points)
             worst_hist.append(worst)
             if worst <= 0.10:
                 sweep_ok = True

@@ -8,7 +8,8 @@ import pytest
 
 from lbhx.cli import main
 from lbhx.layouts import read_dump
-from lbhx.report import BenchReport
+
+from helpers import report_from_csv
 
 
 def run_cli(capsys, *argv):
@@ -22,7 +23,7 @@ def test_bench_csv_structure(capsys):
                              "--iters", "3", "--warmup", "1",
                              "--lattice-lx", "24", "--lattice-ly", "32")
     assert code == 0, err
-    report = BenchReport.from_csv(out)
+    report = report_from_csv(out)
     assert report.columns == ["layout", "vl", "lx", "ly", "t_ms", "ratio",
                               "ratio_q1", "ratio_q3", "mlups", "gbs",
                               "roof_frac"]
@@ -48,7 +49,7 @@ def test_bench_json_appends_a_record_per_call(capsys, tmp_path):
     assert code == 0, err
     first = json.loads(path.read_text())
     assert len(first) == 1
-    assert first[0]["metadata"] == BenchReport.from_csv(out).metadata
+    assert first[0]["metadata"] == report_from_csv(out).metadata
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
     records = json.loads(path.read_text())
@@ -82,7 +83,7 @@ def test_sweep_vl_reports_each_vl_against_the_first(capsys):
                              "--vls", "2,4", "--rounds", "2",
                              "--lattice-lx", "64", "--lattice-ly", "32")
     assert code == 0, err
-    report = BenchReport.from_csv(out)
+    report = report_from_csv(out)
     assert [r["vl"] for r in report.rows] == [2, 4]
     assert report.metadata["argmax_vl"] in ("2", "4")
     assert report.rows[0]["ratio"] == 1.0
@@ -105,7 +106,7 @@ def test_bench_output_file(tmp_path, capsys):
                              "-o", str(out_file))
     assert code == 0, err
     assert out == ""
-    report = BenchReport.from_csv(out_file.read_text())
+    report = report_from_csv(out_file.read_text())
     assert len(report.rows) == 1
 
 
@@ -129,7 +130,7 @@ def test_predict_registry_and_overrides(capsys):
                              "--lattice-lx", "64", "--lattice-ly", "64",
                              "--override", "tau_h=2e-8", "--m-step", "8")
     assert code == 0, err
-    report = BenchReport.from_csv(out)
+    report = report_from_csv(out)
     curves = {r["curve"] for r in report.rows}
     assert curves == {"base", "override"}
     base0 = next(r for r in report.rows
@@ -235,7 +236,7 @@ def test_scale_structure(capsys, monkeypatch):
                              "--lattice-lx", "48", "--lattice-ly", "16",
                              "--run-iterations", "2", "--hetero-m", "4")
     assert code == 0, err
-    report = BenchReport.from_csv(out)
+    report = report_from_csv(out)
     assert report.columns == ["ranks", "lanes", "mode", "m", "mlups",
                               "speedup"]
     assert len(report.rows) == 4  # 2 rank counts x {v1, v2}
@@ -260,7 +261,7 @@ def test_scale_v2_tunes_m_per_rank_width(capsys, monkeypatch):
                              "--lattice-lx", "48", "--lattice-ly", "64",
                              "--run-iterations", "1")
     assert code == 0, err
-    v2 = {r["ranks"]: r["m"] for r in BenchReport.from_csv(out).rows
+    v2 = {r["ranks"]: r["m"] for r in report_from_csv(out).rows
           if r["mode"] == "v2"}
     assert v2 == {1: 14, 2: 6}
     assert all(2 * m < 48 // n for n, m in v2.items())  # non-empty bulk
@@ -282,7 +283,7 @@ def test_autotune_csv(capsys, tmp_path):
                              "--lattice-ly", "32", "--iters", "4",
                              "--warmup", "1", "--save", str(out_file))
     assert code == 0, err
-    report = BenchReport.from_csv(out)
+    report = report_from_csv(out)
     row = report.rows[0]
     assert row["tau_d"] > 0 and row["tau_h"] > 0
     assert 0 <= row["m_star"] <= 24

@@ -244,8 +244,8 @@ def test_distributed_merge_and_report():
     report, merged, results = run_distributed(cfg, 2, "in_memory",
                                               initial_state=init)
     assert merged.shape == (model.Q, 48, 16)
-    assert np.array_equal(
-        merged, np.concatenate([r.final for r in results], axis=1))
+    assert [(r.layout.x0, r.layout.width) for r in results] == [(0, 24),
+                                                                (24, 24)]
     assert report.metadata["n_ranks"] == "2"
     assert "mlups" in report.metadata and "median_t_exe" in report.metadata
     assert len(report.rows) == 2
@@ -600,9 +600,11 @@ def test_scale_exits_2_naming_the_failed_rank(monkeypatch, capsys,
     assert "rank 1 failed" in err and "injected fault in rank 1" in err
 
 
+@pytest.mark.parametrize("transport", ["in_memory", "tcp"])
 @pytest.mark.parametrize("end, status", [
     ("exit", 3), ("kill", -9)])
-def test_forked_rank_dying_without_result_is_named(monkeypatch, end, status):
+def test_forked_rank_dying_without_result_is_named(monkeypatch, end, status,
+                                                   transport):
     import os
     import signal
     import time
@@ -614,11 +616,12 @@ def test_forked_rank_dying_without_result_is_named(monkeypatch, end, status):
     with pytest.raises(CommunicationFault,
                        match=rf"CommunicationFault: rank 1: process exited "
                              rf"with status {status} \(phase: run\)"):
-        run_distributed(_ring_cfg(), 2, "tcp")
+        run_distributed(_ring_cfg(), 2, transport)
     assert time.monotonic() - t0 < 10.0
 
 
-def test_rank0_failure_ends_forked_ranks_on_eof(monkeypatch):
+@pytest.mark.parametrize("transport", ["in_memory", "tcp"])
+def test_rank0_failure_ends_forked_ranks_on_eof(monkeypatch, transport):
     """Rank 0 fails in the caller; the forked ranks read closed links and
     end at once instead of waiting out IO_TIMEOUT."""
     import time
@@ -639,15 +642,16 @@ def test_rank0_failure_ends_forked_ranks_on_eof(monkeypatch):
     t0 = time.monotonic()
     with pytest.raises(CommunicationFault, match="rank 0 failed during the "
                        "run: RuntimeError: injected fault in rank 0"):
-        run_distributed(_ring_cfg(3), 3, "tcp")
+        run_distributed(_ring_cfg(3), 3, transport)
     assert time.monotonic() - t0 < 10.0
     assert sorted(reaped) == [1, 2]
     for outcome in reaped.values():
         assert outcome[0] == "PeerClosedFault", outcome
 
 
-def test_each_rank_reports_its_process_peak_rss():
-    report, _, results = run_distributed(_ring_cfg(), 2, "tcp")
+@pytest.mark.parametrize("transport", ["in_memory", "tcp"])
+def test_each_rank_reports_its_process_peak_rss(transport):
+    report, _, results = run_distributed(_ring_cfg(), 2, transport)
     assert [r.peak_rss_mb > 0 for r in results] == [True, True]
     assert [row["peak_rss_mb"] for row in report.rows] == \
         [r.peak_rss_mb for r in results]

@@ -14,6 +14,9 @@ from lbhx.kernels import (PERIODIC, WALL_BOUNCE_BACK, BoundaryPolicy,
                           run_steps)
 from lbhx.layouts import Family, FieldBuffer, Geometry, LayoutDescriptor
 from lbhx.model import ModelParams, builtin_model
+from lbhx.validate import ALL_DESCRIPTORS
+
+from helpers import rel_error
 
 GEOM = Geometry(24, 32, halo=3)
 DESC = LayoutDescriptor(Family.CAOSOA, 4)
@@ -118,18 +121,31 @@ def test_timing_fields_populated():
     assert timing.t_exe >= max(timing.t_acc, timing.t_host)
 
 
-def test_plan_changes_keep_the_state_finite():
-    """A plan leaves the columns it does not compute stale in the scratch
-    arena; switching M on one runtime must not bring them into a stencil."""
-    model = builtin_model("d2q9")
-    with HeteroRuntime(model, ModelParams(tau=0.8), DESC, GEOM) as rt:
-        rt.load_state(random_state(model, GEOM.lx, GEOM.ly, 5))
+@pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=str)
+@pytest.mark.parametrize("y_mode", [PERIODIC, WALL_BOUNCE_BACK])
+@pytest.mark.parametrize("model_name, tau", [("d2q9", 0.8), ("d2q37", 0.7)])
+def test_plan_changes_keep_the_physics(model_name, tau, y_mode, desc):
+    """A plan leaves its borders current only on the host, its bulk only on
+    the device and the columns it does not compute stale in the scratch
+    arena; switching M on one runtime every step, through bulk-free,
+    early-exchange and overlapped widths, still reproduces the single-buffer
+    run bit for bit, and no stale column reaches a stencil."""
+    model = builtin_model(model_name)
+    params = ModelParams(tau=tau)
+    policy = BoundaryPolicy(y_mode)
+    geom = Geometry(48, 32, halo=model.R)
+    init = random_state(model, geom.lx, geom.ly, 5)
+    ms = (0, 6, 1, 24, 2, 12, 0, 3)
+    expected = _reference_final(model, params, init, len(ms), geom, desc,
+                                policy)
+    with HeteroRuntime(model, params, desc, geom, policy=policy) as rt:
+        rt.load_state(init)
         with np.errstate(all="raise"):
-            for _ in range(3):
-                for m in (0, 6, 12, 3):
-                    plan = make_partition(GEOM, m)
-                    rt.run_timestep(plan)
-                    assert np.isfinite(rt.state(plan)).all(), m
+            for m in ms:
+                plan = make_partition(geom, m)
+                rt.run_timestep(plan)
+                assert np.isfinite(rt.state(plan)).all(), m
+        assert np.array_equal(rt.state(plan), expected)
 
 
 def test_halo_narrower_than_stencil_rejected():
@@ -238,7 +254,7 @@ def test_balance_experiment_shapes():
     assert [p.m for p in points] == [0, 6, 12]
     for p in points:
         assert p.measured > 0 and p.predicted > 0
-        assert p.rel_error == (p.measured - p.predicted) / p.predicted
+        assert rel_error(p) == (p.measured - p.predicted) / p.predicted
 
 
 def test_rank_border_widths_cap_hetero_m():

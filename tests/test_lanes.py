@@ -27,7 +27,8 @@ from lbhx.kernels import (PERIODIC, WALL_BOUNCE_BACK, BoundaryPolicy, Region,
 from lbhx.layouts import Family, FieldBuffer, Geometry, LayoutDescriptor
 from lbhx.model import ModelParams, builtin_model
 from lbhx.perf_model import PerfProfile, optimal_m
-from lbhx.report import BenchReport
+
+from helpers import report_from_csv
 
 LAYOUTS = {"aos": LayoutDescriptor(Family.AOS),
            "soa": LayoutDescriptor(Family.SOA),
@@ -303,24 +304,27 @@ def test_no_lane_thread_outlives_the_runtime(cpus):
     assert _lane_threads() == []
 
 
-def test_lane_count_per_rank(cpus, monkeypatch):
+def test_lane_count_per_rank(cpus, monkeypatch, tmp_path):
     """On 2 usable CPUs one rank runs 2 lanes, and each rank of a 2- or
-    3-rank ring runs 1, never 0."""
+    3-rank ring runs 1, never 0.  Ranks past 0 run in forked children, so
+    each rank appends its count to a file."""
     cpus(2)
     assert [device_lanes(n) for n in (1, 2, 3, 5)] == [2, 1, 1, 1]
-    made = []
+    record = tmp_path / "lanes"
     make = hetero.runtime_from_config
 
     def recording(cfg, rank_exchange=None):
         rt = make(cfg, rank_exchange=rank_exchange)
-        made.append(rt.lanes)
+        with open(record, "a") as fh:
+            fh.write(f"{rt.lanes}\n")
         return rt
 
     monkeypatch.setattr(hetero, "runtime_from_config", recording)
     cfg = _cfg(**{"lattice.lx": 24, "lattice.ly": 16, "run.iterations": 2})
     for n, lanes in ((1, 2), (2, 1), (3, 1)):
-        made.clear()
+        record.write_text("")
         report, _, _ = run_distributed(cfg, n, "in_memory")
+        made = [int(line) for line in record.read_text().split()]
         assert made == [lanes] * n
         assert report.metadata["device_lanes"] == str(lanes)
 
@@ -356,7 +360,7 @@ def test_profiles_are_tuned_at_the_ranks_lane_count(cpus, monkeypatch,
     out, err = capsys.readouterr()
     assert code == 0, err
     assert asked == [1, 2]  # one tuning per lane count
-    v2 = {r["ranks"]: r["m"] for r in BenchReport.from_csv(out).rows
+    v2 = {r["ranks"]: r["m"] for r in report_from_csv(out).rows
           if r["mode"] == "v2"}
     assert v2 == {1: optimal_m(profiles[2], 48, 64),
                   2: optimal_m(profiles[1], 24, 64),
@@ -372,7 +376,7 @@ def test_reports_record_the_lane_count(cpus, monkeypatch, tmp_path, capsys):
     small = ["--lattice-lx", "24", "--lattice-ly", "16"]
     for command in ("autotune", "sweep-balance"):
         assert main([command, *small]) == 0
-        report = BenchReport.from_csv(capsys.readouterr().out)
+        report = report_from_csv(capsys.readouterr().out)
         assert report.metadata["device_lanes"] == "2", command
         assert report.metadata["machine.affinity"] == "2", command
     assert main(["dump", *small, "--out", str(tmp_path / "s.lbhx")]) == 0

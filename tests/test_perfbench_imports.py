@@ -81,3 +81,35 @@ def test_traced_step_spans_its_swap_and_keeps_its_timing(monkeypatch):
         step["id"]]
     assert step["args"] == {k: getattr(timing, k) for k in
                             ("t_acc", "t_host", "t_mpi", "t_swap", "t_exe")}
+
+
+def test_ring_tracing_spans_rank_0s_steps_and_halos(monkeypatch):
+    """perfbench's traced ring swaps `lbhx.hetero.runtime_from_config` and
+    `lbhx.distributed.TcpTransport` for tracing factories, which holds only
+    while `run_distributed` looks both names up at call time and runs rank
+    0 on the calling thread.  A 3-step, 2-rank call then records one `step`
+    span of rank 0 per step, each holding its two halo sends and its two
+    receives."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("steps", "spans"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import steps
+    from spans import Tracer
+
+    from lbhx.config import build_run_config, load_config
+    from lbhx.hetero import random_state
+    from lbhx.model import builtin_model
+
+    cfg = build_run_config(load_config(
+        overrides={"lattice.lx": "16", "lattice.ly": "16"}, use_env=False))
+    state = random_state(builtin_model(cfg.model_name), cfg.lx, cfg.ly, 3)
+    tracer = Tracer()
+    with steps.ring_tracing(tracer):
+        steps.ring_call(cfg, 2, state, 3)
+    assert {s["rank"] for s in tracer.spans} == {0}
+    step_ids = [s["step"] for s in tracer.steps()]
+    assert len(step_ids) == 3
+    for name in ("send", "recv"):
+        per_step = tracer.children(name)
+        assert sorted(per_step) == step_ids, name
+        assert [len(per_step[i]) for i in step_ids] == [2] * 3, name

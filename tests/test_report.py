@@ -2,6 +2,8 @@
 from lbhx import report
 from lbhx.report import BenchReport, machine_fingerprint
 
+from helpers import report_from_csv
+
 
 def test_add_row_tracks_columns():
     r = BenchReport("t")
@@ -16,7 +18,7 @@ def test_csv_roundtrip_exact():
     r.add_row(kernel="collide", t_ms=1.2345678901234567, mlups=106.6)
     r.add_row(kernel="propagate", t_ms=0.25, mlups=1.0)
     text = r.to_csv()
-    back = BenchReport.from_csv(text)
+    back = report_from_csv(text)
     assert back.experiment == "bench"
     assert back.metadata["lx"] == "48"
     assert back.columns == r.columns
